@@ -404,7 +404,7 @@ def cmd_measures(args) -> int:
     numeric = blp_measure_numeric(
         ch, wtd, PairSearchConfig(n_directions=args.directions, window=window)
     )
-    s_offset = args.s_offset / scale if args.s_offset else None
+    s_offset = None if args.s_offset is None else args.s_offset / scale
     hou = hou_measure(ch, wtd, s_offset=s_offset, window=window)
     rhp = rhp_divisibility_measure(ch, wtd, s_offset=s_offset, window=window)
     mu_deph = _is_pure_dephasing(ch)

@@ -19,20 +19,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq, minimize
+from scipy.optimize import minimize
 
-from .poly_laplace import ExpPolyFunction
-from .renewal import find_extrema, generating_function
+from .poly_laplace import ExpPolyFunction, evaluate_all
+from .renewal import (
+    GeneratingFunction,
+    find_extrema,
+    generating_function,
+    pole_grid,
+    refine_brackets,
+    sign_brackets,
+)
 from .qubit import (
+    PAULI_TRANSFORM,
     SIGMA,
     ChannelDynamics,
-    ChoiVector,
     PauliChannel,
     QubitState,
-    choi_vector,
     dynamics,
 )
 from .waiting_time import HypoExpWTD
@@ -171,7 +177,8 @@ def distinguishability_trace(
         raise ValueError("state pair is degenerate")
     weights = dr**2
     dyn = dynamics(ch, w)
-    intervals = _growth_intervals(dyn, weights, window)
+    samples = _PairSamples(dyn.generators, window)
+    intervals = samples.growth_intervals(weights[None])[0]
     times = np.linspace(window[0], window[1], n_points)
     lam = dyn.lambdas(times)
     dlam = dyn.lambda_dots(times)
@@ -183,75 +190,96 @@ def distinguishability_trace(
     return DistinguishabilityTrace(times, D, sigma, tuple(intervals))
 
 
-def _growth_intervals(
-    dyn: ChannelDynamics,
-    weights: np.ndarray,
-    window: tuple[float, float],
-) -> list[tuple[float, float]]:
-    """Maximal intervals where sum_i w_i lam_i lam_i' > 0."""
-    t0, t1 = window
-    steps = [
-        _osc_step(g.value) for g, wt in zip(dyn.generators, weights) if wt > 0
-    ]
-    step = min([s for s in steps if s is not None] + [(t1 - t0) / 200.0])
-    grid = np.linspace(t0, t1, max(int(np.ceil((t1 - t0) / step)), 200) + 1)
-    lam = dyn.lambdas(grid)
-    dlam = dyn.lambda_dots(grid)
-    N = np.einsum("i,it->t", weights, lam * dlam)
-    # Rounding floor relative to the local term magnitudes, so that genuine
-    # sign structure deep in the exponential tail is still resolved while a
-    # monotone case produces no phantom intervals.  Points whose envelope is
-    # itself rounding-level (a flat start, or far past every decay scale)
-    # carry no sign information at all.
-    env = np.einsum("i,it->t", weights, np.abs(lam) * np.abs(dlam))
-    env_floor = 1e-15 * float(env.max() or 1.0)
-    eps = 1e-12
+class _PairSamples:
+    """lam_i lam_i' on one grid fine enough for every generator, taken once.
 
-    def n_of(t: float) -> float:
-        ls = [g.value(t) for g in dyn.generators]
-        ds = [g.derivative(t) for g in dyn.generators]
-        return float(sum(wt * l * d for wt, l, d in zip(weights, ls, ds)))
+    The distance of the pair with squared Bloch-difference weights w grows
+    where N = sum_i w_i lam_i lam_i' > 0, so every direction scores on these
+    samples with one matrix-vector product.
+    """
 
-    def decisive_sign(num: float, envelope: float) -> int:
-        if envelope <= env_floor or abs(num) <= eps * envelope:
-            return 0
-        return 1 if num > 0 else -1
+    def __init__(
+        self, gens: Sequence[GeneratingFunction], window: tuple[float, float]
+    ):
+        self.values = [g.value for g in gens]
+        self.functions = self.values + [g.derivative for g in gens]
+        self.window = window
+        self.grid = pole_grid(self.values, window, 200)
+        self.prod = self._prod(self.grid)
+        self.env = np.abs(self.prod)
 
-    def sign_of(t: float) -> int:
-        ls = [g.value(t) for g in dyn.generators]
-        ds = [g.derivative(t) for g in dyn.generators]
-        num = sum(wt * l * d for wt, l, d in zip(weights, ls, ds))
-        envelope = sum(wt * abs(l) * abs(d) for wt, l, d in zip(weights, ls, ds))
-        return decisive_sign(float(num), float(envelope))
+    def _prod(self, t: np.ndarray) -> np.ndarray:
+        lam, dlam = np.split(evaluate_all(self.functions, t), 2)
+        return lam * dlam
 
-    sgn = np.array([decisive_sign(n, e) for n, e in zip(N, env)])
-    idx = np.flatnonzero(sgn != 0)
-    boundaries = []
-    for i, j in zip(idx[:-1], idx[1:]):
-        if sgn[i] * sgn[j] < 0:
-            boundaries.append(float(brentq(n_of, grid[i], grid[j], xtol=1e-13)))
-    marks = [t0] + boundaries + [t1]
-    min_width = 1e-9 * (t1 - t0)
-    intervals = []
-    for a, b in zip(marks[:-1], marks[1:]):
-        if b - a <= min_width:
-            continue
-        if sign_of(0.5 * (a + b)) > 0:
-            if intervals and abs(intervals[-1][1] - a) < 1e-12:
-                intervals[-1] = (intervals[-1][0], b)
-            else:
-                intervals.append((a, b))
-    return intervals
+    def _n_env(self, weights: np.ndarray, t: np.ndarray):
+        # N and its envelope sum_i w_i |lam_i lam_i'| at t[k] for weights[k].
+        prod = self._prod(t)
+        return (
+            np.einsum("ki,ik->k", weights, prod),
+            np.einsum("ki,ik->k", weights, np.abs(prod)),
+        )
+
+    def growth_intervals(self, weights: np.ndarray) -> list[list[tuple[float, float]]]:
+        """Maximal intervals where N > 0, one list per row of weights."""
+        t0, t1 = self.window
+        # Rounding floor relative to the local term magnitudes, so that genuine
+        # sign structure deep in the exponential tail is still resolved while a
+        # monotone case produces no phantom intervals.  Points whose envelope is
+        # itself rounding-level (a flat start, or far past every decay scale)
+        # carry no sign information at all.
+        floors, lo, hi, rows = [], [], [], []
+        for k, w in enumerate(weights):  # row by row bounds the temporaries
+            env = w @ self.env
+            floors.append(1e-15 * (float(env.max()) or 1.0))
+            i, j = sign_brackets(np.where(env > floors[k], w @ self.prod, 0.0), env)
+            lo.append(self.grid[i])
+            hi.append(self.grid[j])
+            rows += [k] * len(i)
+        roots = refine_brackets(
+            lambda t: self._n_env(weights[rows], t)[0],
+            np.concatenate(lo),
+            np.concatenate(hi),
+            xtol=1e-13,
+        )
+        marks = [[t0] for _ in weights]
+        for k, r in zip(rows, roots):
+            marks[k].append(float(r))
+        segments = [
+            (k, a, b)
+            for k, m in enumerate(marks)
+            for a, b in zip(m, m[1:] + [t1])
+            if b - a > 1e-9 * (t1 - t0)
+        ]
+        ks = [k for k, _, _ in segments]
+        mids = np.array([0.5 * (a + b) for _, a, b in segments])
+        num, mid_env = self._n_env(weights[ks], mids)
+        grows = (mid_env > np.array(floors)[ks]) & (num > 1e-12 * mid_env)
+        out: list[list[tuple[float, float]]] = [[] for _ in weights]
+        for (k, a, b), up in zip(segments, grows):
+            if up:
+                _append_merged(out[k], a, b)
+        return out
+
+    def measures(self, weights: np.ndarray) -> list[tuple[float, list]]:
+        """Total rise of the distance and its contributions, per row of weights."""
+        intervals = self.growth_intervals(weights)
+        rows = [k for k, ivs in enumerate(intervals) for _ in ivs]
+        flat = [ab for ivs in intervals for ab in ivs]
+        lam = evaluate_all(self.values, np.array(flat).reshape(-1, 2))
+        dist = np.sqrt(np.einsum("ki,ikj->kj", weights[rows], lam**2))
+        contribs: list[list] = [[] for _ in weights]
+        for k, ab, (da, db) in zip(rows, flat, dist):
+            contribs[k].append((ab, float(db - da)))
+        return [(sum(c for _, c in cs), cs) for cs in contribs]
 
 
-def _osc_step(f: ExpPolyFunction) -> float | None:
-    scales = []
-    for p in f.poles:
-        if abs(p.imag) > 1e-12:
-            scales.append(np.pi / abs(p.imag))
-        if abs(p.real) > 1e-12:
-            scales.append(1.0 / abs(p.real))
-    return min(scales) / 20.0 if scales else None
+def _append_merged(out: list[tuple[float, float]], a: float, b: float) -> None:
+    # Adjacent intervals (sharing an endpoint) are one interval.
+    if out and abs(out[-1][1] - a) < 1e-12:
+        out[-1] = (out[-1][0], b)
+    else:
+        out.append((a, b))
 
 
 @dataclass(frozen=True)
@@ -260,7 +288,6 @@ class PairSearchConfig:
     window: tuple[float, float] | None = None
     refine: bool = True
     refine_maxiter: int = 120
-    top_k: int = 4
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -269,6 +296,13 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     theta = np.pi * (1.0 + 5.0**0.5) * k
     return np.column_stack(
         [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
+    )
+
+
+def _unit(angles) -> np.ndarray:
+    th, ph = angles
+    return np.array(
+        [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
     )
 
 
@@ -282,6 +316,7 @@ def blp_measure_numeric(
     The pair +/-n gives D(t) = sqrt(sum_i lam_i(t)^2 n_i^2); interior pairs
     are dominated, so the search runs over Bloch directions: the three axes
     exactly, a Fibonacci grid, and local refinement of the best direction.
+    All of them score on one set of samples of lam_i and lam_i'.
     """
     dyn = dynamics(ch, w)
     if cfg.window is not None:
@@ -291,36 +326,20 @@ def blp_measure_numeric(
         T = _auto_window([g.derivative for g in dyn.generators])
         window = (0.0, T)
         tail = sum(g.derivative.tail_envelope_integral(T) for g in dyn.generators)
-
-    def measure_of(direction: np.ndarray) -> tuple[float, list]:
-        weights = direction**2 / float(direction @ direction)
-        intervals = _growth_intervals(dyn, weights, window)
-        contribs = []
-        for a, b in intervals:
-            da = _pair_distance(dyn, weights, a)
-            db = _pair_distance(dyn, weights, b)
-            contribs.append(((a, b), db - da))
-        return sum(c for _, c in contribs), contribs
-
-    candidates = list(np.eye(3)) + list(_fibonacci_sphere(cfg.n_directions))
-    scored = []
-    for d in candidates:
-        val, contribs = measure_of(np.asarray(d))
-        scored.append((val, tuple(d), contribs))
-    scored.sort(key=lambda x: -x[0])
-    best_val, best_dir, best_contribs = scored[0]
+    samples = _PairSamples(dyn.generators, window)
+    candidates = np.vstack([np.eye(3), _fibonacci_sphere(cfg.n_directions)])
+    scored = samples.measures(candidates**2)
+    best = max(range(len(scored)), key=lambda k: scored[k][0])
+    best_val, best_contribs = scored[best]
+    best_dir = candidates[best]
     note = ""
     if cfg.refine and best_val > 0.0:
-        theta0 = math.acos(max(-1.0, min(1.0, best_dir[2])))
-        phi0 = math.atan2(best_dir[1], best_dir[0])
 
         def neg(angles):
-            th, ph = angles
-            d = np.array(
-                [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-            )
-            return -measure_of(d)[0]
+            return -samples.measures(_unit(angles)[None] ** 2)[0][0]
 
+        theta0 = math.acos(max(-1.0, min(1.0, best_dir[2])))
+        phi0 = math.atan2(best_dir[1], best_dir[0])
         res = minimize(
             neg,
             [theta0, phi0],
@@ -328,13 +347,8 @@ def blp_measure_numeric(
             options={"maxiter": cfg.refine_maxiter, "xatol": 1e-6, "fatol": 1e-12},
         )
         if -res.fun > best_val:
-            th, ph = res.x
-            best_dir = (
-                math.sin(th) * math.cos(ph),
-                math.sin(th) * math.sin(ph),
-                math.cos(th),
-            )
-            best_val, best_contribs = measure_of(np.asarray(best_dir))
+            best_dir = _unit(res.x)
+            best_val, best_contribs = samples.measures(best_dir[None] ** 2)[0]
         if not res.success:
             note = "direction refinement hit its iteration budget"
     return MeasureResult(
@@ -345,11 +359,6 @@ def blp_measure_numeric(
         tail_bound=tail,
         note=note,
     )
-
-
-def _pair_distance(dyn: ChannelDynamics, weights: np.ndarray, t: float) -> float:
-    ls = np.array([g.value(t) for g in dyn.generators])
-    return float(np.sqrt(np.sum(weights * ls**2)))
 
 
 @dataclass(frozen=True)
@@ -398,16 +407,9 @@ def divisibility_scan(
     singular = np.array(
         [any(abs(t - z) <= eps for z in zeros) for t in t_values], dtype=bool
     )
-    lam_t = dyn.lambdas(t_values)  # (3, nt)
-    ts = t_values[:, None] + s_values[None, :]
-    lam_ts = np.array([g.value(ts.ravel()).reshape(ts.shape) for g in dyn.generators])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = lam_ts / lam_t[:, :, None]
-    from .qubit import PAULI_TRANSFORM
-
-    stacked = np.concatenate([np.ones((1,) + ts.shape), ratios], axis=0)
-    weights = 0.25 * np.einsum("ij,jts->its", PAULI_TRANSFORM, stacked)
-    min_comp = weights.min(axis=0)
+    lam_t = dyn.lambdas(t_values)[:, :, None]  # (3, nt, 1)
+    lam_ts = dyn.lambdas(t_values[:, None] + s_values[None, :])
+    min_comp = _choi_weights(lam_t, lam_ts).min(axis=0)
     min_comp[singular, :] = np.nan
     cells = []
     for i in np.flatnonzero(~singular):
@@ -418,15 +420,28 @@ def divisibility_scan(
     return DivisibilityScan(t_values, s_values, min_comp, singular, tuple(cells))
 
 
-def _negativity_function(dyn: ChannelDynamics, s_offset: float):
-    def neg(t: float) -> float:
-        ls = np.array([g.value(t) for g in dyn.generators])
-        if np.any(ls == 0.0):
-            return math.inf  # isolated point; arctan stays bounded
-        lts = np.array([g.value(t + s_offset) for g in dyn.generators])
-        return choi_vector(lts / ls).negativity
+def _choi_weights(lam: np.ndarray, lam_later: np.ndarray) -> np.ndarray:
+    """Pauli-conjugation weights A (1, r) / 4 of the intermediate maps with
+    eigenvalue ratios r = lam_later / lam, stacked along the first axis."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = np.tensordot(PAULI_TRANSFORM[:, 1:], lam_later / lam, axes=1)
+        mu += 1.0  # A's first column is all ones
+        mu *= 0.25
+    return mu
 
-    return neg
+
+def _negativity(dyn: ChannelDynamics, s: float, t) -> np.ndarray:
+    """Choi negativity of the intermediate map from t to t + s, for an array t.
+
+    It is inf where some lam_i(t) = 0, an isolated point where the ratios
+    diverge (the arctangent stays bounded there).
+    """
+    t = np.asarray(t, dtype=float)
+    lam = dyn.lambdas(t)
+    mu = _choi_weights(lam, dyn.lambdas(t + s))
+    with np.errstate(invalid="ignore"):
+        neg = -np.minimum(mu, 0.0, out=mu).sum(axis=0)
+    return np.where(np.any(lam == 0.0, axis=0), np.inf, neg)
 
 
 def _violation_intervals(
@@ -434,29 +449,99 @@ def _violation_intervals(
 ) -> list[tuple[float, float]]:
     """Subintervals where the intermediate map fails complete positivity."""
     t0, t1 = window
-    steps = [_osc_step(g.value) for g in dyn.generators]
-    step = min([s for s in steps if s is not None] + [(t1 - t0) / 400.0])
-    grid = np.linspace(t0, t1, max(int(np.ceil((t1 - t0) / step)), 400) + 1)
-    neg = _negativity_function(dyn, s_offset)
-    vals = np.array([neg(float(t)) for t in grid])
+    grid = pole_grid([g.value for g in dyn.generators], window, 400)
     floor = 1e-12  # rounding noise of an exactly CP cell
-    inside = vals > floor
-    boundaries = []
-    for i in np.flatnonzero(inside[:-1] != inside[1:]):
-        a, b = grid[i], grid[i + 1]
-        try:
-            boundaries.append(float(brentq(lambda t: neg(t) - floor, a, b, xtol=1e-12)))
-        except ValueError:
-            boundaries.append(float(0.5 * (a + b)))
-    marks = [t0] + sorted(boundaries) + [t1]
-    out = []
-    for a, b in zip(marks[:-1], marks[1:]):
-        if neg(0.5 * (a + b)) > floor:
-            if out and abs(out[-1][1] - a) < 1e-12:
-                out[-1] = (out[-1][0], b)
-            else:
-                out.append((a, b))
+    inside = _negativity(dyn, s_offset, grid) > floor
+    i = np.flatnonzero(inside[:-1] != inside[1:])
+    cross = refine_brackets(
+        lambda t: _negativity(dyn, s_offset, t) - floor, grid[i], grid[i + 1], 1e-12
+    )
+    marks = [t0] + sorted(float(x) for x in cross) + [t1]
+    mids = 0.5 * (np.array(marks[:-1]) + np.array(marks[1:]))
+    bad = _negativity(dyn, s_offset, mids) > floor
+    out: list[tuple[float, float]] = []
+    for a, b, violated in zip(marks[:-1], marks[1:], bad):
+        if violated:
+            _append_merged(out, a, b)
     return out
+
+
+# QUADPACK's qk15 rule on [-1, 1], outermost node first down to 0: the
+# Kronrod nodes and weights, and the 7-point Gauss weights on every second node.
+_XK = [0.99145537112081264, 0.94910791234275852, 0.86486442335976907,
+       0.74153118559939444, 0.58608723546769113, 0.40584515137739717,
+       0.20778495500789847, 0.0]
+_WK = [0.022935322010529225, 0.063092092629978553, 0.10479001032225018,
+       0.14065325971552592, 0.16900472663926790, 0.19035057806478541,
+       0.20443294007529889, 0.20948214108472783]
+_WG = [0.0, 0.12948496616886969, 0.0, 0.27970539148927667,
+       0.0, 0.38183005050511894, 0.0, 0.41795918367346939]
+_GK_NODES = np.array([-x for x in _XK] + _XK[-2::-1])
+_GK_WEIGHTS = np.array(_WK + _WK[-2::-1])
+_G7_WEIGHTS = np.array(_WG + _WG[-2::-1])
+
+
+def _gauss_kronrod(f, pieces):
+    """Adaptive G7/K15 integrals of the array-valued f, one per piece.
+
+    A piece is an increasing array of breakpoints: the interval ends and the
+    singular times inside.  Each round evaluates f on every active panel in
+    one call; a panel is final once its QUADPACK error estimate is within its
+    length share of max(eps, eps*|I|), scipy quad's default tolerance, and
+    the others are halved.  Returns the integrals and their error estimates.
+    """
+    eps, max_rounds = 1.49e-8, 50
+    lo = np.concatenate([p[:-1] for p in pieces] + [[]])
+    hi = np.concatenate([p[1:] for p in pieces] + [[]])
+    owner = np.repeat(np.arange(len(pieces)), [len(p) - 1 for p in pieces])
+    length = np.array([p[-1] - p[0] for p in pieces])
+    total, error = np.zeros(len(pieces)), np.zeros(len(pieces))
+    for rnd in range(max_rounds):
+        if lo.size == 0:
+            break
+        half = 0.5 * (hi - lo)
+        mid = lo + half
+        fx = f(mid[:, None] + half[:, None] * _GK_NODES)
+        kronrod = fx @ _GK_WEIGHTS
+        val = half * kronrod
+        err = half * np.abs(kronrod - fx @ _G7_WEIGHTS)
+        asc = half * (np.abs(fx - 0.5 * kronrod[:, None]) @ _GK_WEIGHTS)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = asc * np.minimum(1.0, (200.0 * err / asc) ** 1.5)
+        err = np.where(asc > 0, scaled, err)
+        resabs = half * (np.abs(fx) @ _GK_WEIGHTS)
+        err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+        estimate = total + np.bincount(owner, val, len(pieces))
+        share = np.maximum(eps, eps * np.abs(estimate))[owner] / length[owner]
+        final = (err <= share * 2.0 * half) | (rnd == max_rounds - 1)
+        total += np.bincount(owner[final], val[final], len(pieces))
+        error += np.bincount(owner[final], err[final], len(pieces))
+        keep = ~final
+        lo = np.concatenate([lo[keep], mid[keep]])
+        hi = np.concatenate([mid[keep], hi[keep]])
+        owner = np.tile(owner[keep], 2)
+    return total, error
+
+
+def _fixed_lag_setup(
+    ch: PauliChannel,
+    w: HypoExpWTD,
+    s_offset: float | None,
+    window: tuple[float, float] | None,
+) -> tuple[ChannelDynamics, float, tuple[float, float]]:
+    """Dynamics, lag and window of the fixed-lag divisibility measures.
+
+    The lag defaults to 1e-3 divided by the rate scale; a given lag must be
+    positive, since a zero lag makes every intermediate map the identity.
+    """
+    if s_offset is None:
+        s_offset = 1e-3 / max(w.rates)
+    elif not s_offset > 0:
+        raise ValueError("lag must be positive")
+    dyn = dynamics(ch, w)
+    if window is None:
+        window = (0.0, _auto_window([g.derivative for g in dyn.generators]))
+    return dyn, s_offset, window
 
 
 def hou_measure(
@@ -473,34 +558,22 @@ def hou_measure(
     scale; the arctangent stays bounded through the zeros of the eigenvalues,
     where the unnormalized measure diverges.
     """
-    dyn = dynamics(ch, w)
-    if s_offset is None:
-        s_offset = 1e-3 / max(w.rates)
-    if s_offset <= 0:
-        raise ValueError("lag must be positive")
-    if window is None:
-        window = (0.0, _auto_window([g.derivative for g in dyn.generators]))
+    dyn, s_offset, window = _fixed_lag_setup(ch, w, s_offset, window)
     intervals = _violation_intervals(dyn, s_offset, window)
     if not intervals:
         return MeasureResult(0.0, (), "rhp-hou", note=f"s_offset={s_offset:g}")
-    neg = _negativity_function(dyn, s_offset)
     zeros = _singular_times(dyn, window[1] + s_offset)
-    total = 0.0
-    length = 0.0
-    contribs = []
-    for a, b in intervals:
-        pts = [z for z in zeros if a < z < b]
-        val, _err = quad(
-            lambda t: math.atan(neg(t)), a, b, points=pts or None, limit=200
-        )
-        total += val
-        length += b - a
-        contribs.append(((a, b), val))
+    pieces = [np.unique([a, b] + [z for z in zeros if a < z < b]) for a, b in intervals]
+    vals, errs = _gauss_kronrod(
+        lambda t: np.arctan(_negativity(dyn, s_offset, t)), pieces
+    )
+    length = float(sum(b - a for a, b in intervals))
     return MeasureResult(
-        total / length,
-        tuple(contribs),
+        float(sum(vals)) / length,
+        tuple((ab, float(v)) for ab, v in zip(intervals, vals)),
         "rhp-hou",
-        note=f"s_offset={s_offset:g}; violation length={length:g}",
+        note=f"s_offset={s_offset:g}; violation length={length:g}; "
+        f"quad_err={errs.sum():.2g}",
     )
 
 
@@ -515,11 +588,7 @@ def rhp_divisibility_measure(
     Diverges (flagged as +inf) as soon as any map eigenvalue crosses zero in
     the window, because the intermediate-map ratios blow up there.
     """
-    dyn = dynamics(ch, w)
-    if s_offset is None:
-        s_offset = 1e-3 / max(w.rates)
-    if window is None:
-        window = (0.0, _auto_window([g.derivative for g in dyn.generators]))
+    dyn, s_offset, window = _fixed_lag_setup(ch, w, s_offset, window)
     zeros = _singular_times(dyn, window[1])
     if zeros:
         return MeasureResult(
@@ -529,15 +598,14 @@ def rhp_divisibility_measure(
             note=f"eigenvalue zero at t={zeros[0]:.6g} makes the integral diverge",
         )
     intervals = _violation_intervals(dyn, s_offset, window)
-    neg = _negativity_function(dyn, s_offset)
-    total = 0.0
-    contribs = []
-    for a, b in intervals:
-        val, _err = quad(neg, a, b, limit=200)
-        total += val
-        contribs.append(((a, b), val))
+    vals, errs = _gauss_kronrod(
+        lambda t: _negativity(dyn, s_offset, t), [np.array(ab) for ab in intervals]
+    )
     return MeasureResult(
-        total, tuple(contribs), "rhp-divisibility", note=f"s_offset={s_offset:g}"
+        float(sum(vals)),
+        tuple((ab, float(v)) for ab, v in zip(intervals, vals)),
+        "rhp-divisibility",
+        note=f"s_offset={s_offset:g}; quad_err={errs.sum():.2g}",
     )
 
 

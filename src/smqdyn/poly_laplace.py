@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "poly_roots",
     "invert_laplace",
     "evaluate",
+    "evaluate_all",
     "differentiate",
 ]
 
@@ -269,17 +271,6 @@ class ExpPolyFunction:
     def __call__(self, t, tol: Tolerances = DEFAULT_TOL):
         return evaluate(self, t, tol)
 
-    def eval_complex(self, t):
-        """Term sum without the realness check (no domain restriction)."""
-        ts = np.asarray(t, dtype=float)
-        acc = np.zeros(ts.shape, dtype=complex)
-        for pole, coeffs in self.terms:
-            poly = np.zeros(ts.shape, dtype=complex)
-            for c in reversed(coeffs):
-                poly = poly * ts + c
-            acc = acc + poly * np.exp(pole * ts)
-        return acc
-
     def differentiate(self) -> "ExpPolyFunction":
         return differentiate(self)
 
@@ -329,16 +320,9 @@ class ExpPolyFunction:
 
     def envelope(self, t):
         """Coefficient-absolute bound sum |c_k| t^k e^{Re p t} at time(s) t."""
-        ts = np.asarray(t, dtype=float)
-        acc = np.zeros(ts.shape)
-        for pole, coeffs in self.terms:
-            poly = np.zeros(ts.shape)
-            for c in reversed(coeffs):
-                poly = poly * ts + abs(c)
-            acc = acc + poly * np.exp(pole.real * ts)
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return float(acc)
-        return acc
+        poles, coeffs = _stacked_terms((self,))
+        acc = _term_sums(poles.real, np.abs(coeffs), np.asarray(t, dtype=float))[0]
+        return float(acc) if np.ndim(t) == 0 else acc
 
     def tail_envelope_integral(self, start: float) -> float:
         """Upper bound for ``integral_start^inf |f(t)| dt``.
@@ -450,19 +434,80 @@ def evaluate(f: ExpPolyFunction, t, tol: Tolerances = DEFAULT_TOL):
     """Real value of ``f`` at time(s) t >= 0.
 
     Raises if any imaginary residue exceeds imag_part_cap*(1+|Re|): that
-    indicates a pole set not closed under conjugation.
+    indicates a pole set not closed under conjugation.  A scalar t takes a
+    plain-Python term loop, which avoids numpy's per-call overhead.
+    """
+    if np.ndim(t) != 0:
+        return evaluate_all((f,), t, tol)[0]
+    x = float(t)
+    if x < 0:
+        raise ValueError("time must be nonnegative")
+    val = 0j
+    for pole, coeffs in f.terms:
+        poly = 0j
+        for c in reversed(coeffs):
+            poly = poly * x + c
+        val += poly * cmath.exp(pole * x)
+    if abs(val.imag) > tol.imag_part_cap * (1.0 + abs(val.real)):
+        raise ValueError(
+            f"evaluation is not real within tolerance (|imag| up to {abs(val.imag):g})"
+        )
+    return val.real
+
+
+#: Elements per temporary array in the vectorised evaluation paths.
+_CHUNK = 2**12
+
+
+def evaluate_all(fs: Sequence[ExpPolyFunction], t, tol: Tolerances = DEFAULT_TOL):
+    """Real values of several functions at times t >= 0, in one array pass.
+
+    Returns shape (len(fs),) + shape(t); the checks are those of evaluate.
     """
     ts = np.asarray(t, dtype=float)
     if np.any(ts < 0):
         raise ValueError("time must be nonnegative")
-    val = f.eval_complex(ts)
-    bad = np.abs(val.imag) > tol.imag_part_cap * (1.0 + np.abs(val.real))
-    if np.any(bad):
-        worst = np.max(np.abs(val.imag))
-        raise ValueError(f"evaluation is not real within tolerance (|imag| up to {worst:g})")
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(val.real)
-    return val.real
+    return _term_sums(*_stacked_terms(tuple(fs)), ts, tol)
+
+
+def _term_sums(poles, coeffs, ts: np.ndarray, tol: Tolerances | None = None):
+    # Real part of sum_j (sum_k coeffs[f, j, k] t^k) exp(poles[f, j] t) for
+    # each f, by Horner; with tol, each chunk passes evaluate's realness check.
+    x = ts.ravel()
+    out = np.empty((len(poles), x.size))
+    chunk = max(1, _CHUNK // poles.size)  # bounds the (F, M, n) temporaries
+    for lo in range(0, x.size, chunk):
+        xc = x[lo : lo + chunk]
+        poly = np.zeros(poles.shape + xc.shape, dtype=coeffs.dtype)
+        for k in range(coeffs.shape[-1] - 1, -1, -1):
+            poly = poly * xc + coeffs[:, :, k, None]
+        val = (poly * np.exp(poles[:, :, None] * xc)).sum(axis=1)
+        if tol is not None:
+            bad = np.abs(val.imag) > tol.imag_part_cap * (1.0 + np.abs(val.real))
+            if np.any(bad):
+                worst = np.max(np.abs(val.imag))
+                raise ValueError(
+                    f"evaluation is not real within tolerance (|imag| up to {worst:g})"
+                )
+        out[:, lo : lo + chunk] = val.real
+    return out.reshape((len(poles),) + ts.shape)
+
+
+@lru_cache(maxsize=256)
+def _stacked_terms(fs: tuple[ExpPolyFunction, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # Poles (F, M) and ascending coefficients (F, M, K), zero-padded: padded
+    # terms and leading zero coefficients add exact zeros, so the sums match
+    # a term-by-term loop bit for bit.
+    n_terms = max([len(f.terms) for f in fs] + [1])
+    n_coeffs = max([len(cs) for f in fs for _, cs in f.terms] + [1])
+    poles = np.zeros((len(fs), n_terms), dtype=complex)
+    coeffs = np.zeros((len(fs), n_terms, n_coeffs), dtype=complex)
+    for i, f in enumerate(fs):
+        for j, (pole, cs) in enumerate(f.terms):
+            poles[i, j], coeffs[i, j, : len(cs)] = pole, cs
+    poles.setflags(write=False)  # cached: shared by every caller
+    coeffs.setflags(write=False)
+    return poles, coeffs
 
 
 def differentiate(f: ExpPolyFunction) -> ExpPolyFunction:

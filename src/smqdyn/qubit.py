@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .poly_laplace import evaluate_all
 from .renewal import generating_function
 from .waiting_time import HypoExpWTD
 
@@ -193,10 +194,10 @@ class ChannelDynamics:
 
     def lambdas(self, t):
         """Array of shape (3,) + shape(t) with lam_x, lam_y, lam_z."""
-        return np.array([g.value(t) for g in self.generators])
+        return evaluate_all([g.value for g in self.generators], t)
 
     def lambda_dots(self, t):
-        return np.array([g.derivative(t) for g in self.generators])
+        return evaluate_all([g.derivative for g in self.generators], t)
 
     def snapshot(self, t: float) -> MapSnapshot:
         return MapSnapshot(

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.stats import poisson
 
 from .poly_laplace import (
@@ -40,6 +39,9 @@ __all__ = [
     "generating_function",
     "series_backend",
     "find_extrema",
+    "pole_grid",
+    "sign_brackets",
+    "refine_brackets",
 ]
 
 #: Truncation index for jump-count series (tail controlled by the Poisson
@@ -190,16 +192,70 @@ class ExtremumPoint:
         return abs(self.value)
 
 
-def _grid_step(f: ExpPolyFunction, T: float) -> float:
-    scales = []
-    for p in f.poles:
+def pole_grid(
+    fs: list[ExpPolyFunction], window: tuple[float, float], n_min: int
+) -> np.ndarray:
+    """Uniform grid over the window with at least n_min steps, each at most
+    1/20 of every decay time 1/|Re p| and half period pi/|Im p| of the fs."""
+    t0, t1 = window
+    steps = [(t1 - t0) / n_min]
+    for p in [p for f in fs for p in f.poles]:
         if abs(p.imag) > 1e-12:
-            scales.append(np.pi / abs(p.imag))
+            steps.append(np.pi / abs(p.imag) / 20.0)
         if abs(p.real) > 1e-12:
-            scales.append(1.0 / abs(p.real))
-    if not scales:
-        return T / 100.0
-    return min(min(scales) / 20.0, T / 100.0)
+            steps.append(1.0 / abs(p.real) / 20.0)
+    n = max(int(np.ceil((t1 - t0) / min(steps))), n_min)
+    return np.linspace(t0, t1, n + 1)
+
+
+def sign_brackets(values, envelopes) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) bracketing the genuine sign changes of samples.
+
+    Values within 1e-12 of their local term-magnitude envelope are rounding
+    noise (e.g. a flat double zero at the window edge) and carry no sign;
+    brackets run between consecutive decisive samples of opposite sign.
+    """
+    sgn = np.where(np.abs(values) > 1e-12 * envelopes, np.sign(values), 0.0)
+    idx = np.flatnonzero(sgn)
+    flip = sgn[idx[:-1]] != sgn[idx[1:]]
+    return idx[:-1][flip], idx[1:][flip]
+
+
+def refine_brackets(f, a, b, xtol: float) -> np.ndarray:
+    """Sign-change points of f inside every bracket [a_k, b_k] at once.
+
+    f maps an array of times, one per bracket, to the values of the function
+    each bracket belongs to.  All brackets step together by the Illinois
+    variant of regula falsi, with a bisection step wherever two steps failed
+    to halve a bracket, until each is narrower than xtol + 8.9e-16*|t| (the
+    termination rule of scipy's brentq); the midpoint is returned.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    fa, fb = np.asarray(f(a), dtype=float), np.asarray(f(b), dtype=float)
+    side = np.zeros(a.shape)  # end moved last: -1 for a, +1 for b
+    old = prev = np.full(a.shape, np.inf)
+    while True:
+        m = 0.5 * (a + b)
+        tol = xtol + 8.9e-16 * np.abs(m)
+        width = b - a
+        active = width > tol
+        if not active.any():
+            return m
+        with np.errstate(all="ignore"):
+            c = (a * fb - b * fa) / (fb - fa)
+        c = np.where(np.isfinite(c) & (width <= 0.5 * old), c, m)
+        # At least tol/2 inside, so a root near one end closes the bracket.
+        c = np.where(active, np.clip(c, a + 0.5 * tol, b - 0.5 * tol), m)
+        fc = np.asarray(f(c), dtype=float)
+        left = active & ((fc > 0) == (fa > 0))
+        right = active & ~left
+        fb = np.where(left & (side < 0), 0.5 * fb, fb)
+        fa = np.where(right & (side > 0), 0.5 * fa, fa)
+        a, fa = np.where(left, c, a), np.where(left, fc, fa)
+        b, fb = np.where(right, c, b), np.where(right, fc, fb)
+        side = np.where(left, -1.0, np.where(right, 1.0, side))
+        old, prev = prev, width
 
 
 def find_extrema(
@@ -210,7 +266,7 @@ def find_extrema(
     """Interior critical points of f in the window, ordered by time.
 
     Sign changes of f' are bracketed on a grid finer than any pole period and
-    refined by bisection; zeros of f are located the same way.  Stationary
+    refined all at once; zeros of f are located the same way.  Stationary
     values below ``stationary_value_floor`` (times the window scale of |f|)
     count as zero-touching minima.
     """
@@ -220,49 +276,27 @@ def find_extrema(
     df = f.differentiate()
     if df.is_zero():
         return []
-    step = _grid_step(f, T - t0)
-    n = max(int(np.ceil((T - t0) / step)), 16)
-    grid = np.linspace(t0, T, n + 1)
-    fv = f(grid)
-    dv = df(grid)
+    grid = pole_grid([f], window, 100)
+    fv, dv = f(grid), df(grid)
     scale = float(np.max(np.abs(fv))) or 1.0
+    i, j = sign_brackets(dv, df.envelope(grid))
+    stat = refine_brackets(df, grid[i], grid[j], xtol=1e-14)
+    stat = stat[(t0 < stat) & (stat < T)]
+    vals = f(stat)
+    curv = df.differentiate()(stat)
+    h = (grid[1] - grid[0]) / 8.0
     points: list[ExtremumPoint] = []
-    d2 = df.differentiate()
-    for a, b in _sign_change_brackets(grid, dv, df.envelope(grid)):
-        t_star = brentq(lambda x: df(float(x)), a, b, xtol=1e-14, rtol=8.9e-16)
-        if not (t0 < t_star < T):
-            continue
-        val = f(float(t_star))
+    for t_star, val, cv in zip(stat, vals, curv):
         if abs(val) < tol.stationary_value_floor * scale:
             kind = "min"  # zero-touching: keeps measure sums well defined
         else:
-            curv = d2(float(t_star))
-            if curv == 0.0:
-                h = step / 8.0
-                curv = f(min(t_star + h, T)) - 2.0 * val + f(max(t_star - h, t0))
-            kind = "max" if val * curv < 0 else "min"
+            if cv == 0.0:
+                cv = f(min(t_star + h, T)) - 2.0 * val + f(max(t_star - h, t0))
+            kind = "max" if val * cv < 0 else "min"
         points.append(ExtremumPoint(float(t_star), float(val), kind))
-    for a, b in _sign_change_brackets(grid, fv, f.envelope(grid)):
-        t_zero = brentq(lambda x: f(float(x)), a, b, xtol=1e-14, rtol=8.9e-16)
+    i, j = sign_brackets(fv, f.envelope(grid))
+    for t_zero in refine_brackets(f, grid[i], grid[j], xtol=1e-14):
         if t0 < t_zero < T:
             points.append(ExtremumPoint(float(t_zero), 0.0, "zero-crossing"))
     points.sort(key=lambda p: p.t)
     return points
-
-
-def _sign_change_brackets(grid, values, envelopes) -> list[tuple[float, float]]:
-    """Brackets of genuine sign changes of a sampled smooth function.
-
-    Values below 1e-12 of the local term-magnitude envelope are rounding
-    noise (e.g. a flat double zero at the window edge) and carry no sign;
-    brackets run between consecutive decisive samples of opposite sign.
-    """
-    sgn = np.where(
-        values > 1e-12 * envelopes, 1, np.where(values < -1e-12 * envelopes, -1, 0)
-    )
-    idx = np.flatnonzero(sgn != 0)
-    out = []
-    for i, j in zip(idx[:-1], idx[1:]):
-        if sgn[i] * sgn[j] < 0:
-            out.append((float(grid[i]), float(grid[j])))
-    return out

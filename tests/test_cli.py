@@ -218,6 +218,12 @@ class TestMeasuresCommand:
         vb = json.loads(b.read_text())["measures"]["blp_numeric"]["value"]
         assert va == pytest.approx(vb, abs=1e-6)
 
+    @pytest.mark.parametrize("lag", ["0", "-0.01"])
+    def test_nonpositive_lag_is_a_spec_error(self, lag, capsys):
+        argv = ["measures", "--channel", "ep", "--wtd", "conv:1,0.14", "--s-offset", lag]
+        assert main(argv) == 2
+        assert "lag must be positive" in capsys.readouterr().err
+
     def test_memoryless_all_measures_vanish(self, tmp_path):
         out = tmp_path / "m.json"
         main(["measures", "--channel", "mix:0.8", "--wtd", "exp:1", "--out", str(out)])

@@ -2,9 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from smqdyn.nonmarkov import (
+    _G7_WEIGHTS,
+    _GK_NODES,
+    _GK_WEIGHTS,
     PairSearchConfig,
+    _auto_window,
+    _fibonacci_sphere,
+    _gauss_kronrod,
+    _negativity,
+    _PairSamples,
+    _singular_times,
+    _violation_intervals,
     blp_measure_dephasing,
     blp_measure_numeric,
     distinguishability_trace,
@@ -15,7 +27,14 @@ from smqdyn.nonmarkov import (
     tcl_equivalence_check,
     trace_distance,
 )
-from smqdyn.qubit import PauliChannel, QubitState, evolve_state, map_snapshot
+from smqdyn.qubit import (
+    PauliChannel,
+    QubitState,
+    choi_vector,
+    dynamics,
+    evolve_state,
+    map_snapshot,
+)
 from smqdyn.renewal import even_odd_difference
 from smqdyn.waiting_time import HypoExpWTD
 
@@ -184,6 +203,12 @@ class TestRenormalizedDivisibilityMeasures:
         with pytest.raises(ValueError):
             hou_measure(PHASEFLIP, ERLANG2, s_offset=0.0)
 
+    @pytest.mark.parametrize("lag", [0.0, -1e-3])
+    @pytest.mark.parametrize("measure", [hou_measure, rhp_divisibility_measure])
+    def test_nonpositive_lag_rejected_by_both_measures(self, measure, lag):
+        with pytest.raises(ValueError, match="lag must be positive"):
+            measure(EXCHANGE, HypoExpWTD([1.0, 0.14]), s_offset=lag)
+
 
 FIG3_CHANNEL = PauliChannel([0.2, 0.4, 0.2, 0.2])
 FIG3_WTD = HypoExpWTD([1.0, 0.13])
@@ -299,3 +324,168 @@ class TestCriterionRelations:
             EXCHANGE, w, np.linspace(0.0, 40.0, 80), np.linspace(0.05, 8.0, 60)
         )
         assert scan.has_violation
+
+
+# The four (channel, waiting time) shapes of the benchmark's diagnostics
+# workload, at unit rate scale.
+DIAGNOSTIC_SHAPES = {
+    "phaseflip/conv:1,0.3": (PHASEFLIP, HypoExpWTD([1.0, 0.3])),
+    "mix:0.9/conv:1,0.3": (PauliChannel.dephasing_mixture(0.9), HypoExpWTD([1.0, 0.3])),
+    "ep/conv:1,0.14": (EXCHANGE, HypoExpWTD([1.0, 0.14])),
+    "pauli:0.3,0.3,0.1,0.3/erlang:2:1": (PauliChannel([0.3, 0.3, 0.1, 0.3]), ERLANG2),
+}
+
+# blp_measure_numeric (32 directions), hou_measure and rhp_divisibility_measure
+# as (value, number of contributions), recorded with the scalar brentq/quad
+# implementation these measures had before they were vectorised.
+RECORDED_MEASURES = {
+    "phaseflip/conv:1,0.3": (
+        (0.00791483283400579, 3), (0.003298185996149094, 7), (math.inf, 0)
+    ),
+    "mix:0.9/conv:1,0.3": (
+        (0.002593763720686348, 2), (0.0030970907989017363, 5), (math.inf, 0)
+    ),
+    "ep/conv:1,0.14": (
+        (0.0, 0), (1.9193200622864147e-05, 1), (0.004626802088914343, 1)
+    ),
+    "pauli:0.3,0.3,0.1,0.3/erlang:2:1": (
+        (0.0008903235747897983, 2), (0.0014938931939294053, 9), (math.inf, 0)
+    ),
+}
+
+
+def _window(dyn):
+    return (0.0, _auto_window([g.derivative for g in dyn.generators]))
+
+
+def _scalar_growth_intervals(dyn, weights, window):
+    """Reference: the per-direction route the shared-sample scoring replaced,
+    with its own grid, scalar sign tests and one brentq call per bracket."""
+    t0, t1 = window
+    scales = [(t1 - t0) / 200.0]
+    for g, wt in zip(dyn.generators, weights):
+        for p in g.value.poles if wt > 0 else ():
+            scales += [np.pi / abs(p.imag) / 20.0] if abs(p.imag) > 1e-12 else []
+            scales += [1.0 / abs(p.real) / 20.0] if abs(p.real) > 1e-12 else []
+    grid = np.linspace(t0, t1, max(int(np.ceil((t1 - t0) / min(scales))), 200) + 1)
+    lam, dlam = dyn.lambdas(grid), dyn.lambda_dots(grid)
+    N = np.einsum("i,it->t", weights, lam * dlam)
+    env = np.einsum("i,it->t", weights, np.abs(lam) * np.abs(dlam))
+    floor = 1e-15 * float(env.max() or 1.0)
+
+    def n_and_env(t):
+        ls = [g.value(t) for g in dyn.generators]
+        ds = [g.derivative(t) for g in dyn.generators]
+        n = sum(wt * l * d for wt, l, d in zip(weights, ls, ds))
+        return n, sum(wt * abs(l) * abs(d) for wt, l, d in zip(weights, ls, ds))
+
+    def sign(n, e):
+        return 0 if e <= floor or abs(n) <= 1e-12 * e else (1 if n > 0 else -1)
+
+    sgn = [sign(n, e) for n, e in zip(N, env)]
+    idx = [k for k, s in enumerate(sgn) if s]
+    roots = [
+        brentq(lambda t: n_and_env(t)[0], grid[i], grid[j], xtol=1e-13)
+        for i, j in zip(idx, idx[1:])
+        if sgn[i] != sgn[j]
+    ]
+    marks = [t0] + roots + [t1]
+    out = []
+    for a, b in zip(marks, marks[1:]):
+        if b - a > 1e-9 * (t1 - t0) and sign(*n_and_env(0.5 * (a + b))) > 0:
+            if out and abs(out[-1][1] - a) < 1e-12:
+                out[-1] = (out[-1][0], b)
+            else:
+                out.append((a, b))
+    return out
+
+
+def _scalar_negativity(dyn, s, t):
+    """Reference: Choi negativity of one intermediate map via choi_vector."""
+    lam = dyn.lambdas(t)
+    if np.any(lam == 0.0):
+        return math.inf
+    return choi_vector(dyn.lambdas(t + s) / lam).negativity
+
+
+class _ExactZeroDynamics:
+    """Stand-in dynamics whose lam_x vanishes exactly at t = 1."""
+
+    @staticmethod
+    def lambdas(t):
+        t = np.asarray(t, dtype=float)
+        return np.array([1.0 - t, np.exp(-t), np.exp(-0.5 * t)])
+
+
+class TestVectorisedMeasurePaths:
+    @pytest.mark.parametrize("shape", sorted(DIAGNOSTIC_SHAPES))
+    def test_shared_sample_scores_match_scalar_route(self, shape):
+        dyn = dynamics(*DIAGNOSTIC_SHAPES[shape])
+        window = _window(dyn)
+        weights = np.vstack([np.eye(3), _fibonacci_sphere(5)]) ** 2
+        batched = _PairSamples(dyn.generators, window).growth_intervals(weights)
+        for row, got in zip(weights, batched):
+            ref = _scalar_growth_intervals(dyn, row, window)
+            assert len(got) == len(ref)
+            for (a, b), (ra, rb) in zip(got, ref):
+                assert a == pytest.approx(ra, abs=1e-10)
+                assert b == pytest.approx(rb, abs=1e-10)
+
+    @pytest.mark.parametrize("shape", sorted(DIAGNOSTIC_SHAPES) + ["exact-zero"])
+    def test_array_negativity_matches_choi_vector(self, shape):
+        if shape == "exact-zero":
+            dyn, ts, s = _ExactZeroDynamics(), np.linspace(0.0, 2.0, 41), 0.3
+            assert 1.0 in ts
+        else:
+            dyn = dynamics(*DIAGNOSTIC_SHAPES[shape])
+            ts, s = np.linspace(0.0, _window(dyn)[1], 401), 1e-3
+        got = _negativity(dyn, s, ts)
+        ref = np.array([_scalar_negativity(dyn, s, float(t)) for t in ts])
+        assert np.array_equal(np.isinf(got), np.isinf(ref))
+        assert np.isinf(ref).any() == (shape == "exact-zero")
+        finite = ~np.isinf(ref)
+        assert np.allclose(got[finite], ref[finite], rtol=1e-12, atol=1e-15)
+
+    def test_gauss_kronrod_rule_is_exact_on_polynomials(self):
+        for d in range(23):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert _GK_WEIGHTS @ _GK_NODES**d == pytest.approx(exact, abs=1e-15)
+            if d <= 13:
+                assert _G7_WEIGHTS @ _GK_NODES**d == pytest.approx(exact, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", sorted(DIAGNOSTIC_SHAPES))
+    def test_gauss_kronrod_matches_quad_on_hou_integrand(self, shape):
+        ch, w = DIAGNOSTIC_SHAPES[shape]
+        dyn = dynamics(ch, w)
+        s, window = 1e-3 / max(w.rates), _window(dyn)
+        intervals = _violation_intervals(dyn, s, window)
+        zeros = _singular_times(dyn, window[1] + s)
+        pieces = [np.unique([a, b] + [z for z in zeros if a < z < b]) for a, b in intervals]
+        vals, errs = _gauss_kronrod(lambda t: np.arctan(_negativity(dyn, s, t)), pieces)
+        assert len(vals) == len(intervals) > 0
+        for piece, val, err in zip(pieces, vals, errs):
+            ref, _ = quad(
+                lambda t: math.atan(_scalar_negativity(dyn, s, t)),
+                piece[0],
+                piece[-1],
+                points=list(piece[1:-1]) or None,
+                limit=200,
+            )
+            assert val == pytest.approx(ref, abs=1e-8)
+            assert err <= max(1.49e-8, 1.49e-8 * abs(val))
+
+    @pytest.mark.parametrize("shape", sorted(DIAGNOSTIC_SHAPES))
+    def test_measures_match_recorded_values(self, shape):
+        ch, w = DIAGNOSTIC_SHAPES[shape]
+        blp_ref, hou_ref, rhp_ref = RECORDED_MEASURES[shape]
+        blp = blp_measure_numeric(ch, w, PairSearchConfig(n_directions=32))
+        assert blp.value == pytest.approx(blp_ref[0], abs=1e-9)
+        assert len(blp.contributions) == blp_ref[1]
+        for res, (value, count) in [
+            (hou_measure(ch, w), hou_ref),
+            (rhp_divisibility_measure(ch, w), rhp_ref),
+        ]:
+            assert res.value == pytest.approx(value, rel=1e-7)
+            assert len(res.contributions) == count
+            if res.contributions:
+                assert "quad_err=" in res.note

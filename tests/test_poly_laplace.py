@@ -10,6 +10,7 @@ from smqdyn.poly_laplace import (
     RationalLaplace,
     differentiate,
     evaluate,
+    evaluate_all,
     invert_laplace,
     poly_roots,
 )
@@ -19,6 +20,31 @@ from oracles import central_difference, talbot_inverse
 
 def rational(num, den, **kw):
     return RationalLaplace(Polynomial(num), Polynomial(den), **kw)
+
+
+def _term_loop(terms, ts):
+    """Reference: one pass per term, the loop that array evaluation stacks."""
+    acc = np.zeros(ts.shape, dtype=complex)
+    for pole, coeffs in terms:
+        poly = np.zeros(ts.shape, dtype=complex)
+        for c in reversed(coeffs):
+            poly = poly * ts + c
+        acc = acc + poly * np.exp(pole * ts)
+    return acc
+
+
+EVAL_CASES = {
+    "decay": invert_laplace(rational([1.0], [2.0, 1.0])),
+    "damped-oscillation": invert_laplace(rational([2.0, 1.0], [2.0, 2.0, 1.0])),
+    "triple-pole": invert_laplace(
+        rational([1.0], [1.0, 3.0, 3.0, 1.0], den_roots=((-1.0, 3),))
+    ),
+    "mixed-multiplicity": invert_laplace(
+        rational([1.0, 0.5], [0.5, 2.0, 2.5, 1.0], den_roots=((-1.0, 2), (-0.5, 1)))
+    ),
+    "zero": ExpPolyFunction.zero(),
+    "constant": ExpPolyFunction.constant(0.25),
+}
 
 
 class TestPolyRoots:
@@ -125,6 +151,37 @@ class TestEvaluate:
         f = invert_laplace(rational([1.0], [2.0, 1.0]))
         ts = np.linspace(0, 5, 11)
         assert np.allclose(f(ts), np.exp(-2 * ts))
+
+    @pytest.mark.parametrize("name", sorted(EVAL_CASES))
+    def test_scalar_path_matches_array_path(self, name):
+        f = EVAL_CASES[name]
+        ts = np.linspace(0.0, 25.0, 251)
+        scalar = [evaluate(f, float(t)) for t in ts]
+        assert all(type(v) is float for v in scalar)
+        bound = 4.0 * np.finfo(float).eps * f.envelope(ts)
+        assert np.all(np.abs(np.array(scalar) - evaluate(f, ts)) <= bound)
+
+    @pytest.mark.parametrize("t", [-0.5, np.array([0.0, -0.5])])
+    def test_negative_time_rejected_on_both_paths(self, t):
+        f = invert_laplace(rational([1.0], [2.0, 1.0]))
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            evaluate(f, t)
+
+    @pytest.mark.parametrize("t", [1.0, np.array([0.0, 1.0])])
+    def test_unpaired_pole_rejected_on_both_paths(self, t):
+        f = ExpPolyFunction([((-1.0 + 1.0j), [1.0])])
+        with pytest.raises(ValueError, match="not real within tolerance"):
+            evaluate(f, t)
+
+    def test_stacked_evaluation_matches_term_loop_exactly(self):
+        fs = [EVAL_CASES[name] for name in sorted(EVAL_CASES)]
+        ts = np.linspace(0.0, 25.0, 9000).reshape(3, -1)  # several chunks
+        got = evaluate_all(fs, ts)
+        assert got.shape == (len(fs),) + ts.shape
+        for f, row in zip(fs, got):
+            assert np.array_equal(row, _term_loop(f.terms, ts).real)
+            abs_terms = [(p.real, [abs(c) for c in cs]) for p, cs in f.terms]
+            assert np.array_equal(f.envelope(ts), _term_loop(abs_terms, ts))
 
 
 class TestDifferentiate:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from smqdyn.renewal import (
     JumpCountLaw,
@@ -10,7 +11,9 @@ from smqdyn.renewal import (
     find_extrema,
     generating_function,
     jump_probability,
+    refine_brackets,
     series_backend,
+    sign_brackets,
 )
 from smqdyn.waiting_time import HypoExpWTD
 
@@ -221,3 +224,43 @@ class TestFindExtrema:
         q = even_odd_difference(ERLANG2)
         with pytest.raises(ValueError):
             find_extrema(q, (2.0, 2.0))
+
+
+# Sampled functions with their term-magnitude envelopes, and the window they
+# are sampled on.
+REFINE_CASES = {
+    "erlang3-parity": (
+        even_odd_difference(HypoExpWTD.erlang(3, 1.0)),
+        even_odd_difference(HypoExpWTD.erlang(3, 1.0)).envelope,
+        (0.0, 30.0),
+    ),
+    "two-stage-derivative": (
+        generating_function(HypoExpWTD([1.0, 0.3]), -1.0).derivative,
+        generating_function(HypoExpWTD([1.0, 0.3]), -1.0).derivative.envelope,
+        (0.0, 50.0),
+    ),
+    "steep-tanh": (lambda t: np.tanh(50.0 * (t - 0.71)), lambda t: 1.0 + 0 * t, (0.0, 5.0)),
+    "large-times": (lambda t: np.sin(t / 7.0), lambda t: 1.0 + 0 * t, (900.0, 1100.0)),
+}
+
+
+class TestRefineBrackets:
+    @pytest.mark.parametrize("name", sorted(REFINE_CASES))
+    def test_batched_refinement_matches_brentq(self, name):
+        f, envelope, (t0, t1) = REFINE_CASES[name]
+        grid = np.linspace(t0, t1, 397)
+        i, j = sign_brackets(f(grid), envelope(grid))
+        assert len(i) > 0
+        got = refine_brackets(f, grid[i], grid[j], xtol=1e-14)
+        for a, b, x in zip(grid[i], grid[j], got):
+            ref = brentq(lambda t: float(f(t)), a, b, xtol=1e-14, rtol=8.9e-16)
+            assert abs(x - ref) <= 2.0 * (1e-14 + 8.9e-16 * abs(ref))
+            assert a <= x <= b
+
+    def test_empty_bracket_set(self):
+        assert refine_brackets(np.sin, [], [], xtol=1e-14).size == 0
+
+    def test_rounding_level_samples_carry_no_sign(self):
+        values = np.array([1.0, 1e-20, -1e-20, 1.0, -1.0])
+        i, j = sign_brackets(values, np.ones(5))
+        assert i.tolist() == [3] and j.tolist() == [4]
