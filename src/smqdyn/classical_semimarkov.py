@@ -174,16 +174,17 @@ def volterra_solve(spec: SemiMarkovSpec, t_end: float, dt: float) -> VolterraSol
     flat = T.reshape(n + 1, 4)
     # Corrector matrix: T_{i+1} - (dt/2) M (w0 + dt*kappa_0/2) T_{i+1} = rhs.
     P = np.linalg.inv(np.eye(2) - 0.5 * dt * (w0 + 0.5 * dt * kappa[0]) * m_op)
+    # History convolutions by trapezoid; interior weights are 1.  The interior
+    # sum a step computes for its corrector is the next step's `inner`.
+    inner = np.zeros((2, 2))
     for i in range(n):
-        # History convolutions by trapezoid; interior weights are 1.
         if i == 0:
             conv_i = np.zeros((2, 2))
         else:
-            inner = (kappa[1:i] @ flat[i - 1 : 0 : -1]).reshape(2, 2) if i > 1 else 0.0
             conv_i = dt * (0.5 * kappa[0] * T[i] + inner + 0.5 * kappa[i] * T[0])
         F_i = m_op @ (w0 * T[i] + conv_i)
-        r_next = (kappa[1 : i + 1] @ flat[i:0:-1]).reshape(2, 2) if i >= 1 else np.zeros((2, 2))
-        r_next = r_next + 0.5 * kappa[i + 1] * T[0]
+        inner = (kappa[1 : i + 1] @ flat[i:0:-1]).reshape(2, 2)
+        r_next = inner + 0.5 * kappa[i + 1] * T[0]
         rhs = T[i] + 0.5 * dt * F_i + 0.5 * dt * dt * (m_op @ r_next)
         T[i + 1] = P @ rhs
         if np.any(np.abs(T[i + 1]) > 10.0):

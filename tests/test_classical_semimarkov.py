@@ -7,6 +7,7 @@ from smqdyn.classical_semimarkov import (
     ProbabilityVector,
     SemiMarkovSpec,
     SingularPropagatorError,
+    UnstableSolverError,
     kolmogorov_distance,
     propagator,
     volterra_solve,
@@ -73,7 +74,56 @@ class TestPropagator:
             assert np.allclose(left, right, atol=1e-9)
 
 
+def _reference_volterra_matrices(spec: SemiMarkovSpec, t_end: float, dt: float):
+    """The solver's time stepping with both history sums computed at every step."""
+    kern = spec.wtd.kernel()
+    m_op = spec.jump_matrix - np.eye(2)
+    n = int(round(t_end / dt))
+    times = np.arange(n + 1) * dt
+    kappa = np.zeros(n + 1) if kern.regular_part.is_zero() else kern.regular_part(times)
+    w0 = kern.delta_weight
+    T = np.empty((n + 1, 2, 2))
+    T[0] = np.eye(2)
+    flat = T.reshape(n + 1, 4)
+    P = np.linalg.inv(np.eye(2) - 0.5 * dt * (w0 + 0.5 * dt * kappa[0]) * m_op)
+    for i in range(n):
+        if i == 0:
+            conv_i = np.zeros((2, 2))
+        else:
+            inner = (kappa[1:i] @ flat[i - 1 : 0 : -1]).reshape(2, 2) if i > 1 else 0.0
+            conv_i = dt * (0.5 * kappa[0] * T[i] + inner + 0.5 * kappa[i] * T[0])
+        F_i = m_op @ (w0 * T[i] + conv_i)
+        if i >= 1:
+            r_next = (kappa[1 : i + 1] @ flat[i:0:-1]).reshape(2, 2)
+        else:
+            r_next = np.zeros((2, 2))
+        r_next = r_next + 0.5 * kappa[i + 1] * T[0]
+        rhs = T[i] + 0.5 * dt * F_i + 0.5 * dt * dt * (m_op @ r_next)
+        T[i + 1] = P @ rhs
+    return T
+
+
 class TestVolterraSolve:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SemiMarkovSpec(0.5, 0.5, HypoExpWTD([0.3, 0.7])),
+            SemiMarkovSpec(0.0, 1.0, HypoExpWTD([0.3, 0.7])),
+            SemiMarkovSpec(0.37, 0.81, HypoExpWTD([0.3, 0.7])),
+            SemiMarkovSpec(0.2, 0.6, HypoExpWTD.exponential(1.0)),
+        ],
+    )
+    def test_matches_two_sum_reference_bit_for_bit(self, spec):
+        sol = volterra_solve(spec, 2.0, 1e-3)
+        assert sol.times.size == 2001
+        reference = _reference_volterra_matrices(spec, 2.0, 1e-3)
+        assert np.array_equal(sol.matrices, reference)
+
+    def test_divergence_guard_raises(self):
+        spec = SemiMarkovSpec(0.0, 1.0, HypoExpWTD.erlang(10, 20.0))
+        with pytest.raises(UnstableSolverError):
+            volterra_solve(spec, 10.0, 0.5)
+
     def test_closed_form_oracle_survival_case(self):
         spec = SemiMarkovSpec(0.5, 0.5, HypoExpWTD.erlang(2, 1.0))
         sol = volterra_solve(spec, 3.0, 1e-3)
