@@ -102,13 +102,6 @@ class TransitionMatrix:
     def column_sums(self) -> np.ndarray:
         return self.entries.sum(axis=0)
 
-    def is_stochastic(self, tol: float = 1e-10) -> bool:
-        return bool(
-            np.all(self.entries >= -tol)
-            and np.all(self.entries <= 1.0 + tol)
-            and np.allclose(self.column_sums(), 1.0, atol=tol)
-        )
-
 
 @lru_cache(maxsize=256)
 def _mixing_function(spec: SemiMarkovSpec) -> ExpPolyFunction:

@@ -18,7 +18,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from .renewal import (
 )
 from .waiting_time import HypoExpWTD
 
-__all__ = ["main", "RunConfig", "parse_wtd_spec", "parse_channel_spec"]
+__all__ = ["main", "parse_wtd_spec", "parse_channel_spec"]
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
@@ -91,22 +90,13 @@ def parse_channel_spec(spec: str) -> PauliChannel:
     raise SpecParseError(f"unknown channel spec {spec!r}")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def echo(self) -> dict:
-        return {"command": self.command, **self.options}
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _header_line(cfg: RunConfig) -> str:
-    blob = json.dumps(cfg.echo(), sort_keys=True, separators=(",", ":"))
-    return f"# smqdyn {__version__} config={blob}"
+def _config(args) -> dict:
+    """The configuration echo: the command and every option but the output ones."""
+    return {k: v for k, v in vars(args).items() if k not in ("func", "out", "format")}
 
 
 def _open_out(path: str | None):
@@ -118,10 +108,11 @@ def _open_out(path: str | None):
     return open(path, "w", newline=""), True
 
 
-def _emit_csv(path: str | None, cfg: RunConfig, header: list[str], rows) -> None:
+def _emit_csv(path: str | None, args, header: list[str], rows) -> None:
     stream, close = _open_out(path)
     try:
-        stream.write(_header_line(cfg) + "\n")
+        blob = json.dumps(_config(args), sort_keys=True, separators=(",", ":"))
+        stream.write(f"# smqdyn {__version__} config={blob}\n")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -130,8 +121,8 @@ def _emit_csv(path: str | None, cfg: RunConfig, header: list[str], rows) -> None
             stream.close()
 
 
-def _emit_json(path: str | None, cfg: RunConfig, payload: dict) -> None:
-    doc = {"tool": "smqdyn", "version": __version__, "config": cfg.echo(), **payload}
+def _emit_json(path: str | None, args, payload: dict) -> None:
+    doc = {"tool": "smqdyn", "version": __version__, "config": _config(args), **payload}
     stream, close = _open_out(path)
     try:
         stream.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -156,17 +147,6 @@ def cmd_kolmogorov(args) -> int:
             )
         )
     report = witness_contractivity(spec, pairs, lam_t / scale)
-    cfg = RunConfig(
-        "kolmogorov",
-        {
-            "preset": args.preset,
-            "wtd": args.wtd,
-            "tmax": args.tmax,
-            "points": args.points,
-            "pairs": args.pairs,
-            "seed": args.seed,
-        },
-    )
     if args.format == "json":
         payload = {
             "data": [
@@ -182,13 +162,13 @@ def cmd_kolmogorov(args) -> int:
                 for k in range(len(pairs))
             ]
         }
-        _emit_json(args.out, cfg, payload)
+        _emit_json(args.out, args, payload)
     else:
         rows = []
         for k in range(len(pairs)):
             for x, dk in zip(lam_t, report.distances[k]):
                 rows.append([_fmt(x), k, _fmt(dk)])
-        _emit_csv(args.out, cfg, ["t", "pair_id", "DK"], rows)
+        _emit_csv(args.out, args, ["t", "pair_id", "DK"], rows)
     return EXIT_OK
 
 
@@ -210,17 +190,6 @@ def cmd_qm(args) -> int:
                 maxima_rows.append(
                     [m, _fmt(p.t * args.rate), _fmt(p.magnitude), _fmt(partial)]
                 )
-    cfg = RunConfig(
-        "qm",
-        {
-            "m_min": args.m_min,
-            "m_max": args.m_max,
-            "rate": args.rate,
-            "tmax": args.tmax,
-            "points": args.points,
-            "seed": args.seed,
-        },
-    )
     header = ["t"] + [f"abs_q{m}" for m in ms]
     max_header = ["m", "t_max", "height", "partial_sum"]
     if args.format == "json":
@@ -234,19 +203,19 @@ def cmd_qm(args) -> int:
                 for r in maxima_rows
             ],
         }
-        _emit_json(args.out, cfg, payload)
+        _emit_json(args.out, args, payload)
         return EXIT_OK
     rows = [
         [_fmt(x)] + [_fmt(columns[m][i]) for m in ms] for i, x in enumerate(lam_t)
     ]
     if args.out and args.out != "-":
-        _emit_csv(args.out, cfg, header, rows)
+        _emit_csv(args.out, args, header, rows)
         stem, ext = os.path.splitext(args.out)
-        _emit_csv(stem + ".maxima" + (ext or ".csv"), cfg, max_header, maxima_rows)
+        _emit_csv(stem + ".maxima" + (ext or ".csv"), args, max_header, maxima_rows)
     else:
-        _emit_csv(None, cfg, header, rows)
+        _emit_csv(None, args, header, rows)
         sys.stdout.write("\n")
-        _emit_csv(None, cfg, max_header, maxima_rows)
+        _emit_csv(None, args, max_header, maxima_rows)
     return EXIT_OK
 
 
@@ -255,6 +224,7 @@ def cmd_sign_scan(args) -> int:
     lam_t = np.linspace(0.0, args.tmax, args.t_points)
     rows = []
     if args.mode == "qr":
+        args.wtd = None  # not read in this mode, so echoed as null
         for r in xs:
             w = HypoExpWTD([args.rate, r * args.rate])
             q = even_odd_difference(w)
@@ -269,28 +239,14 @@ def cmd_sign_scan(args) -> int:
             vals = g.value(lam_t / scale)
             for x, v in zip(lam_t, vals):
                 rows.append([_fmt(nu), _fmt(x), 1 if v >= 0 else -1])
-    cfg = RunConfig(
-        "signscan",
-        {
-            "mode": args.mode,
-            "x_min": args.x_min,
-            "x_max": args.x_max,
-            "x_points": args.x_points,
-            "tmax": args.tmax,
-            "t_points": args.t_points,
-            "rate": args.rate,
-            "wtd": args.wtd if args.mode == "nu" else None,
-            "seed": args.seed,
-        },
-    )
     if args.format == "json":
         _emit_json(
             args.out,
-            cfg,
+            args,
             {"data": [{"x": r[0], "lambda_t": r[1], "sign": r[2]} for r in rows]},
         )
     else:
-        _emit_csv(args.out, cfg, ["x", "lambda_t", "sign"], rows)
+        _emit_csv(args.out, args, ["x", "lambda_t", "sign"], rows)
     return EXIT_OK
 
 
@@ -319,17 +275,6 @@ def cmd_tcl(args) -> int:
             + [_fmt(v / scale) for v in co.overcomplete]
             + [_fmt(residual), 0]
         )
-    cfg = RunConfig(
-        "tcl",
-        {
-            "channel": args.channel,
-            "wtd": args.wtd,
-            "tmin": args.tmin,
-            "tmax": args.tmax,
-            "points": args.points,
-            "seed": args.seed,
-        },
-    )
     header = [
         "t",
         "canon_x",
@@ -345,11 +290,11 @@ def cmd_tcl(args) -> int:
     if args.format == "json":
         _emit_json(
             args.out,
-            cfg,
+            args,
             {"data": [dict(zip(header, r)) for r in rows]},
         )
     else:
-        _emit_csv(args.out, cfg, header, rows)
+        _emit_csv(args.out, args, header, rows)
     return EXIT_OK
 
 
@@ -368,23 +313,11 @@ def cmd_choi_scan(args) -> int:
             else:
                 v = scan.min_component[i, j]
                 rows.append([_fmt(t), _fmt(s), _fmt(v), -1 if v < -1e-12 else 1, 0])
-    cfg = RunConfig(
-        "choiscan",
-        {
-            "channel": args.channel,
-            "wtd": args.wtd,
-            "tmax": args.tmax,
-            "smax": args.smax,
-            "t_points": args.t_points,
-            "s_points": args.s_points,
-            "seed": args.seed,
-        },
-    )
     header = ["t", "s", "min_component", "sign", "singular"]
     if args.format == "json":
-        _emit_json(args.out, cfg, {"data": [dict(zip(header, r)) for r in rows]})
+        _emit_json(args.out, args, {"data": [dict(zip(header, r)) for r in rows]})
     else:
-        _emit_csv(args.out, cfg, header, rows)
+        _emit_csv(args.out, args, header, rows)
     return EXIT_OK
 
 
@@ -434,18 +367,7 @@ def cmd_measures(args) -> int:
             "value": analytic.value,
             "tail_bound": analytic.tail_bound,
         }
-    cfg = RunConfig(
-        "measures",
-        {
-            "channel": args.channel,
-            "wtd": args.wtd,
-            "window": args.window,
-            "s_offset": args.s_offset,
-            "directions": args.directions,
-            "seed": args.seed,
-        },
-    )
-    _emit_json(args.out, cfg, {"measures": payload})
+    _emit_json(args.out, args, {"measures": payload})
     return EXIT_OK
 
 
@@ -460,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--seed", type=int, default=0, help="echoed into the config")
 
     p = sub.add_parser("kolmogorov", help="Kolmogorov-distance trajectories")
     p.add_argument("--preset", choices=["half", "flip"], required=True)

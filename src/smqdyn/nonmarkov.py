@@ -4,7 +4,8 @@ Witnesses and measures implemented here:
 
 * trace-distance trajectories and their growth intervals (information
   backflow), with the measure given by the total rise of the distance over
-  all growth intervals, maximized over antipodal pure-state pairs;
+  all growth intervals, maximized over antipodal pure-state pairs along the
+  three axes and a Fibonacci grid of directions;
 * complete-positivity of the intermediate maps via the sign of the smallest
   Pauli-conjugation weight (divisibility criterion), including the fixed-lag
   scan, the unnormalized divergence-prone measure, and the arctangent
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .poly_laplace import ExpPolyFunction, evaluate_all
 from .renewal import (
@@ -286,8 +286,6 @@ def _append_merged(out: list[tuple[float, float]], a: float, b: float) -> None:
 class PairSearchConfig:
     n_directions: int = 64
     window: tuple[float, float] | None = None
-    refine: bool = True
-    refine_maxiter: int = 120
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -296,13 +294,6 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     theta = np.pi * (1.0 + 5.0**0.5) * k
     return np.column_stack(
         [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
-    )
-
-
-def _unit(angles) -> np.ndarray:
-    th, ph = angles
-    return np.array(
-        [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
     )
 
 
@@ -315,8 +306,8 @@ def blp_measure_numeric(
 
     The pair +/-n gives D(t) = sqrt(sum_i lam_i(t)^2 n_i^2); interior pairs
     are dominated, so the search runs over Bloch directions: the three axes
-    exactly, a Fibonacci grid, and local refinement of the best direction.
-    All of them score on one set of samples of lam_i and lam_i'.
+    exactly and a Fibonacci grid, all scored on one set of samples of lam_i
+    and lam_i'.  The best candidate is returned as it is.
     """
     dyn = dynamics(ch, w)
     if cfg.window is not None:
@@ -331,33 +322,12 @@ def blp_measure_numeric(
     scored = samples.measures(candidates**2)
     best = max(range(len(scored)), key=lambda k: scored[k][0])
     best_val, best_contribs = scored[best]
-    best_dir = candidates[best]
-    note = ""
-    if cfg.refine and best_val > 0.0:
-
-        def neg(angles):
-            return -samples.measures(_unit(angles)[None] ** 2)[0][0]
-
-        theta0 = math.acos(max(-1.0, min(1.0, best_dir[2])))
-        phi0 = math.atan2(best_dir[1], best_dir[0])
-        res = minimize(
-            neg,
-            [theta0, phi0],
-            method="Nelder-Mead",
-            options={"maxiter": cfg.refine_maxiter, "xatol": 1e-6, "fatol": 1e-12},
-        )
-        if -res.fun > best_val:
-            best_dir = _unit(res.x)
-            best_val, best_contribs = samples.measures(best_dir[None] ** 2)[0]
-        if not res.success:
-            note = "direction refinement hit its iteration budget"
     return MeasureResult(
         best_val,
         tuple(best_contribs),
         "blp-numeric",
-        direction=tuple(float(x) for x in best_dir),
+        direction=tuple(float(x) for x in candidates[best]),
         tail_bound=tail,
-        note=note,
     )
 
 

@@ -13,11 +13,11 @@ chain with a rigorous Poisson tail bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import poisson
 
 from .poly_laplace import (
     DEFAULT_TOL,
@@ -92,9 +92,6 @@ class JumpCountLaw:
             self._cache[n] = jump_probability(self.wtd, n)
         return self._cache[n]
 
-    def total_mass(self, t: float, n_terms: int) -> float:
-        return sum(self.probability(n)(t) for n in range(n_terms))
-
 
 @dataclass(frozen=True)
 class GeneratingFunction:
@@ -135,6 +132,25 @@ def even_odd_difference(w: HypoExpWTD) -> ExpPolyFunction:
     return generating_function(w, -1.0).value
 
 
+def _poisson_weights(a: float, tol: float) -> np.ndarray:
+    """Poisson(a) probabilities of 0..k_max, where k_max - 1 is the first count
+    whose upper tail P(X > k) is at most tol/2.
+
+    The ratios to the mode's probability are products of factors j/a below
+    the mode and a/j above it, all at most 1, so nothing overflows; they run
+    up to a + 40 sqrt(a) + 60, past which the mass is below e^-90, and are
+    normalised by their sum.
+    """
+    n, mode = int(a + 40.0 * math.sqrt(a) + 60.0), int(a)
+    below = np.cumprod(np.arange(mode, 0, -1) / a)[::-1]
+    above = np.cumprod(a / np.arange(mode + 1.0, n + 1))
+    w = np.concatenate([below, [1.0], above])
+    w /= w.sum()
+    tail = np.cumsum(w[::-1])[::-1]  # tail[k] = P(X >= k)
+    k_max = int(np.argmax(tail[1:] <= 0.5 * tol)) + 1
+    return w[: k_max + 1]
+
+
 def series_backend(
     w: HypoExpWTD, mu: float, t: float, tol: float = 1e-10
 ) -> float:
@@ -156,13 +172,18 @@ def series_backend(
     m = w.n_stages
     lam_max = max(w.rates)
     cap = N_MAX_JUMPS * m
-    k_max = int(poisson.isf(tol / 2.0, lam_max * t)) + 1
+    a = lam_max * t
+    if a - 40.0 * math.sqrt(a) - 60.0 > cap:  # the mass up to the cap is below e^-800
+        raise SeriesTruncationError(
+            f"need over {cap} uniformization steps, cap is {cap}"
+        )
+    weights = _poisson_weights(a, tol)
+    k_max = weights.size - 1
     if k_max > cap:
         raise SeriesTruncationError(
             f"need {k_max} uniformization steps, cap is {cap}"
         )
     advance = np.array([w.rates[i % m] / lam_max for i in range(k_max + 1)])
-    weights = poisson.pmf(np.arange(k_max + 1), lam_max * t)
     mu_of_stage = np.power(mu, np.arange(k_max + 1) // m).astype(float)
     v = np.zeros(k_max + 1)
     v[0] = 1.0

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -247,6 +249,74 @@ class TestDeterminismAndOutput:
         first = out.splitlines()[0]
         assert first.startswith("# smqdyn 0.1.0 config={")
         assert '"command":"qm"' in first
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (
+                ["kolmogorov", "--preset", "flip", "--wtd", "conv:1,0.5", "--tmax", "2",
+                 "--points", "3", "--pairs", "1"],
+                '{"command":"kolmogorov","pairs":1,"points":3,"preset":"flip",'
+                '"tmax":2.0,"wtd":"conv:1,0.5"}',
+            ),
+            (
+                ["qm", "--m-max", "2", "--points", "3"],
+                '{"command":"qm","m_max":2,"m_min":1,"points":3,"rate":1.0,'
+                '"tmax":30.0}',
+            ),
+            (
+                ["signscan", "--mode", "qr", "--x-min", "0.5", "--x-max", "1",
+                 "--x-points", "2", "--tmax", "2", "--t-points", "2"],
+                '{"command":"signscan","mode":"qr","rate":1.0,"t_points":2,'
+                '"tmax":2.0,"wtd":null,"x_max":1.0,"x_min":0.5,"x_points":2}',
+            ),
+            (
+                ["signscan", "--mode", "nu", "--x-min", "0", "--x-max", "1",
+                 "--x-points", "2", "--tmax", "2", "--t-points", "2"],
+                '{"command":"signscan","mode":"nu","rate":1.0,"t_points":2,'
+                '"tmax":2.0,"wtd":"erlang:2:1","x_max":1.0,"x_min":0.0,"x_points":2}',
+            ),
+            (
+                ["tcl", "--channel", "phaseflip", "--wtd", "erlang:2:1",
+                 "--points", "2"],
+                '{"channel":"phaseflip","command":"tcl","points":2,"tmax":12.0,'
+                '"tmin":0.02,"wtd":"erlang:2:1"}',
+            ),
+            (
+                ["choiscan", "--channel", "ep", "--wtd", "erlang:2:1",
+                 "--t-points", "2", "--s-points", "2"],
+                '{"channel":"ep","command":"choiscan","s_points":2,"smax":3.0,'
+                '"t_points":2,"tmax":6.0,"wtd":"erlang:2:1"}',
+            ),
+        ],
+    )
+    def test_golden_header_lines(self, argv, config, capsys):
+        _, out = run(argv, capsys)
+        assert out.splitlines()[0] == "# smqdyn 0.1.0 config=" + config
+        _, out = run(argv + ["--format", "json"], capsys)
+        assert json.loads(out)["config"] == json.loads(config)
+        assert main(argv + ["--seed", "0"]) == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    def test_golden_measures_config(self, capsys):
+        argv = ["measures", "--channel", "mix:0.8", "--wtd", "exp:1"]
+        _, out = run(argv, capsys)
+        assert json.loads(out)["config"] == {
+            "channel": "mix:0.8", "command": "measures", "directions": 32,
+            "s_offset": None, "window": None, "wtd": "exp:1",
+        }
+        assert main(argv + ["--seed", "0"]) == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, smqdyn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SMQDYN_OUTDIR", str(tmp_path))

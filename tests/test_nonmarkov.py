@@ -148,11 +148,32 @@ class TestBlpMeasure:
         ch = PauliChannel([0.1, 0.3, 0.2, 0.4])
         w = HypoExpWTD([1.0, 0.9])
         best = blp_measure_numeric(ch, w)
+        dyn = dynamics(ch, w)
+        samples = _PairSamples(dyn.generators, _window(dyn))
         for axis in np.eye(3):
-            cfg = PairSearchConfig(n_directions=0, refine=False)
-            # axis pairs are always part of the candidate set
-            single = blp_measure_numeric(ch, w, cfg)
-            assert best.value >= single.value - 1e-12
+            single, _ = samples.measures(axis[None] ** 2)[0]
+            assert best.value >= single - 1e-12
+
+    def test_no_simplex_lattice_point_beats_the_candidates(self):
+        """D^2 = sum_i w_i lam_i^2 with w_i = n_i^2, so a direction is a point
+        of the weight simplex: no point of a 325-point lattice on it scores
+        above the axes-plus-Fibonacci search, which therefore needs no local
+        refinement."""
+        n = 24
+        lattice = np.array(
+            [(i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)]
+        ) / n
+        rng = np.random.default_rng(2024)
+        for case in range(6):
+            ch = PauliChannel(list(rng.dirichlet(np.ones(4))))
+            if case % 2:
+                w = HypoExpWTD.erlang(int(rng.integers(2, 5)), 1.0)
+            else:
+                w = HypoExpWTD([1.0, float(rng.uniform(0.1, 0.6))])
+            res = blp_measure_numeric(ch, w)
+            dyn = dynamics(ch, w)
+            scored = _PairSamples(dyn.generators, _window(dyn)).measures(lattice)
+            assert max(v for v, _ in scored) <= res.value * (1.0 + 1e-12)
 
 
 class TestDivisibilityScan:

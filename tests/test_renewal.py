@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.stats import poisson
 
 from smqdyn.renewal import (
     JumpCountLaw,
     SeriesTruncationError,
+    _poisson_weights,
     even_odd_difference,
     find_extrema,
     generating_function,
@@ -174,6 +176,23 @@ class TestSeriesBackend:
     def test_truncation_cap_is_enforced(self):
         with pytest.raises(SeriesTruncationError):
             series_backend(EXP1, -1.0, 700.0, 1e-12)
+
+    def test_cap_far_below_the_poisson_mass_raises_without_a_lattice(self):
+        with pytest.raises(SeriesTruncationError, match="cap is 512"):
+            series_backend(EXP1, -1.0, 1e15, 1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_poisson_truncation_index_matches_scipy(self, tol):
+        for a in np.concatenate([np.logspace(-3, math.log10(1.5e4), 40), [1.0, 700.0]]):
+            weights = _poisson_weights(float(a), tol)
+            assert weights.size - 1 == int(poisson.isf(tol / 2.0, a)) + 1
+
+    def test_poisson_weights_match_scipy_pmf(self):
+        for a in np.concatenate([np.logspace(-3, math.log10(2e3), 40), [1.0, 700.0]]):
+            weights = _poisson_weights(float(a), 1e-12)
+            ref = poisson.pmf(np.arange(weights.size), a)
+            # Most of this distance is scipy's own rounding near a = 2e3.
+            assert np.abs(weights - ref).sum() <= 1e-12
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
