@@ -8,13 +8,14 @@ from smqdyn.classical_semimarkov import (
     SemiMarkovSpec,
     SingularPropagatorError,
     UnstableSolverError,
+    _mixing_function,
     kolmogorov_distance,
     propagator,
     volterra_solve,
     witness_contractivity,
     witness_divisibility,
 )
-from smqdyn.renewal import even_odd_difference
+from smqdyn.renewal import even_odd_difference, find_extrema
 from smqdyn.waiting_time import HypoExpWTD
 
 HALF_EXP = SemiMarkovSpec(0.5, 0.5, HypoExpWTD.exponential(1.0))
@@ -111,18 +112,37 @@ class TestVolterraSolve:
             SemiMarkovSpec(0.0, 1.0, HypoExpWTD([0.3, 0.7])),
             SemiMarkovSpec(0.37, 0.81, HypoExpWTD([0.3, 0.7])),
             SemiMarkovSpec(0.2, 0.6, HypoExpWTD.exponential(1.0)),
+            SemiMarkovSpec(0.0, 1.0, HypoExpWTD.erlang(5, 1.0)),
+            SemiMarkovSpec(0.37, 0.81, HypoExpWTD([1.0, 1.0, 4.0])),
         ],
     )
-    def test_matches_two_sum_reference_bit_for_bit(self, spec):
+    def test_matches_direct_sum_reference(self, spec):
+        # The history sum is carried by exponential-sum accumulators, not summed
+        # directly, so the two agree to rounding, far below the O(dt^2) error.
         sol = volterra_solve(spec, 2.0, 1e-3)
         assert sol.times.size == 2001
         reference = _reference_volterra_matrices(spec, 2.0, 1e-3)
-        assert np.array_equal(sol.matrices, reference)
+        assert np.max(np.abs(sol.matrices - reference)) <= 1e-12
+
+    def test_reference_specs_cover_complex_and_double_poles(self):
+        erlang5 = HypoExpWTD.erlang(5, 1.0).kernel().regular_part
+        assert any(abs(p.imag) > 0.1 for p in erlang5.poles)
+        ((pole, coeffs),) = HypoExpWTD([1.0, 1.0, 4.0]).kernel().regular_part.terms
+        assert pole == pytest.approx(-3.0) and len(coeffs) == 2
 
     def test_divergence_guard_raises(self):
         spec = SemiMarkovSpec(0.0, 1.0, HypoExpWTD.erlang(10, 20.0))
         with pytest.raises(UnstableSolverError):
             volterra_solve(spec, 10.0, 0.5)
+
+    def test_divergence_guard_names_the_first_large_step(self):
+        spec = SemiMarkovSpec(0.0, 1.0, HypoExpWTD.erlang(10, 20.0))
+        with pytest.raises(UnstableSolverError, match=r"divergence at t=2\.5$"):
+            volterra_solve(spec, 10.0, 0.5)
+        # The direct sum leaves the guard's bound at the same step.
+        reference = _reference_volterra_matrices(spec, 10.0, 0.5)
+        first = np.argmax(np.abs(reference).max(axis=(1, 2)) > 10.0)
+        assert first * 0.5 == 2.5
 
     def test_closed_form_oracle_survival_case(self):
         spec = SemiMarkovSpec(0.5, 0.5, HypoExpWTD.erlang(2, 1.0))
@@ -155,6 +175,39 @@ class TestVolterraSolve:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             volterra_solve(FLIP_EXP, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "t_end, dt",
+        [
+            (0.0004, 1e-3),
+            (math.inf, 1e-3),
+            (math.nan, 1e-3),
+            (-1.0, 1e-3),
+            (0.0, 1e-3),
+            (1.0, math.inf),
+            (1.0, math.nan),
+            (1.0, -1e-3),
+        ],
+    )
+    def test_degenerate_horizon_rejected(self, t_end, dt):
+        with pytest.raises(ValueError, match="horizon"):
+            volterra_solve(FLIP_EXP, t_end, dt)
+
+    def test_shortest_horizon_is_one_step(self):
+        sol = volterra_solve(FLIP_EXP, 0.0006, 1e-3)
+        assert sol.times.size == 2
+        assert np.array_equal(sol.at(0.0), np.eye(2))
+
+    @pytest.mark.parametrize("t", [1.5, math.nan, math.inf, -0.5, 0.0005])
+    def test_at_rejects_times_off_the_grid(self, t):
+        sol = volterra_solve(FLIP_EXP, 1.0, 1e-3)
+        with pytest.raises(ValueError, match="is not a grid time"):
+            sol.at(t)
+
+    def test_at_returns_grid_matrices(self):
+        sol = volterra_solve(FLIP_EXP, 1.0, 1e-3)
+        assert np.array_equal(sol.at(1.0), sol.matrices[-1])
+        assert np.array_equal(sol.at(0.25), sol.matrices[250])
 
 
 class TestKolmogorovDistance:
@@ -204,6 +257,99 @@ class TestWitnesses:
         times = np.sort(np.append(np.linspace(0, 10, 50), 3 * math.pi / 4))
         report = witness_divisibility(FLIP_ERLANG2, times)
         assert report.singular_s.any()
+
+
+def _reference_growth_intervals(spec, pairs, times, tol=1e-12):
+    """witness_contractivity's intervals by a scan over the time points."""
+    hv = np.abs(_mixing_function(spec)(times))
+    out = []
+    for p1, p2 in pairs:
+        dk = hv * kolmogorov_distance(p1, p2)
+        rising = dk[1:] > dk[:-1] + tol
+        intervals, start = [], None
+        for i, r in enumerate(rising):
+            if r and start is None:
+                start = times[i]
+            if not r and start is not None:
+                intervals.append((float(start), float(times[i])))
+                start = None
+        if start is not None:
+            intervals.append((float(start), float(times[-1])))
+        out.append(tuple(intervals))
+    return tuple(out)
+
+
+def _reference_divisibility(spec, times, tol=1e-10):
+    """witness_divisibility's report by a double loop over (s, t)."""
+    h = _mixing_function(spec)
+    T_max = float(times[-1])
+    zeros = [
+        p.t
+        for p in find_extrema(h, (0.0, T_max + 1e-9))
+        if p.kind == "zero-crossing"
+    ]
+    eps = 1e-6 * T_max
+    singular = np.array(
+        [any(abs(s - z) <= eps for z in zeros) for s in times], dtype=bool
+    )
+    hv = h(times)
+    n = len(times)
+    stochastic = np.ones((n, n), dtype=bool)
+    violations = []
+    for i in range(n):
+        if singular[i]:
+            continue
+        for j in range(i, n):
+            lo = 0.5 * (1.0 - abs(hv[j] / hv[i]))
+            if lo < -tol:
+                stochastic[i, j] = False
+                violations.append((float(times[i]), float(times[j]), float(lo)))
+    return stochastic, singular, tuple(violations)
+
+
+WITNESS_SPECS = [
+    SemiMarkovSpec(0.5, 0.5, HypoExpWTD([1.0, 0.5])),
+    SemiMarkovSpec(0.0, 1.0, HypoExpWTD([1.0, 0.5])),
+    FLIP_ERLANG2,
+    SemiMarkovSpec(0.0, 1.0, HypoExpWTD.erlang(5, 1.0)),
+    FLIP_EXP,
+]
+WITNESS_GRIDS = [
+    np.linspace(0, 25, 400),
+    np.sort(np.append(np.linspace(0, 10, 50), 3 * math.pi / 4)),
+    np.linspace(0, 3, 2),
+]
+
+
+class TestWitnessesMatchScalarLoops:
+    PAIRS = TestWitnesses.PAIRS + [(vec(0.3), vec(0.3)), (vec(0.9), vec(0.2))]
+
+    @pytest.mark.parametrize("spec", WITNESS_SPECS)
+    @pytest.mark.parametrize("grid", range(len(WITNESS_GRIDS)))
+    def test_growth_intervals(self, spec, grid):
+        times = WITNESS_GRIDS[grid]
+        report = witness_contractivity(spec, self.PAIRS, times)
+        expected = _reference_growth_intervals(spec, self.PAIRS, times)
+        assert report.growth_intervals == expected
+        bounds = [x for g in report.growth_intervals for iv in g for x in iv]
+        assert all(type(x) is float for x in bounds)
+
+    @pytest.mark.parametrize("spec", WITNESS_SPECS)
+    @pytest.mark.parametrize("grid", range(len(WITNESS_GRIDS)))
+    def test_divisibility(self, spec, grid):
+        times = WITNESS_GRIDS[grid]
+        report = witness_divisibility(spec, times)
+        stochastic, singular, violations = _reference_divisibility(spec, times)
+        assert np.array_equal(report.stochastic, stochastic)
+        assert np.array_equal(report.singular_s, singular)
+        assert report.violations == violations
+        assert all(type(x) is float for v in report.violations for x in v)
+
+    def test_cases_exercise_growth_violations_and_singular_rows(self):
+        flip = WITNESS_SPECS[1]
+        assert witness_contractivity(flip, self.PAIRS, WITNESS_GRIDS[0]).any_growth
+        report = witness_divisibility(FLIP_ERLANG2, WITNESS_GRIDS[1])
+        assert report.violations and report.singular_s.any()
 
 
 class TestDistanceFollowsMixingFunction:
