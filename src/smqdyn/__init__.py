@@ -8,12 +8,10 @@ maps, and the signs of time-local master-equation rates.
 """
 
 from .poly_laplace import (
-    DEFAULT_TOL,
     ExpPolyFunction,
     ImproperRationalError,
     Polynomial,
     RationalLaplace,
-    Tolerances,
     differentiate,
     evaluate,
     invert_laplace,
@@ -22,7 +20,6 @@ from .poly_laplace import (
 from .waiting_time import HypoExpWTD, MemoryKernel
 from .renewal import (
     GeneratingFunction,
-    JumpCountLaw,
     SeriesTruncationError,
     even_odd_difference,
     find_extrema,

@@ -234,9 +234,9 @@ def witness_contractivity(
     spec: SemiMarkovSpec,
     pairs: list[tuple[ProbabilityVector, ProbabilityVector]],
     times: np.ndarray,
-    tol: float = 1e-12,
 ) -> ContractivityReport:
-    """Intervals where the Kolmogorov distance between evolved pairs grows.
+    """Intervals where the Kolmogorov distance between evolved pairs grows
+    by more than 1e-12 from one grid time to the next.
 
     For both closed-form specs the distance is |h(t)| |p1_1(0) - p2_1(0)| with
     h the mixing function, evaluated here through the propagator itself.
@@ -249,7 +249,7 @@ def witness_contractivity(
     for p1, p2 in pairs:
         dk = hv * kolmogorov_distance(p1, p2)
         dists.append(dk)
-        rising = np.concatenate(([False], dk[1:] > dk[:-1] + tol, [False]))
+        rising = np.concatenate(([False], dk[1:] > dk[:-1] + 1e-12, [False]))
         edges = np.flatnonzero(np.diff(rising.astype(np.int8)))
         starts, ends = times[edges[::2]].tolist(), times[edges[1::2]].tolist()
         all_intervals.append(tuple(zip(starts, ends)))
@@ -265,12 +265,9 @@ class DivisibilityReport:
     violations: tuple[tuple[float, float, float], ...]  # (s, t, worst entry)
 
 
-def witness_divisibility(
-    spec: SemiMarkovSpec,
-    times: np.ndarray,
-    tol: float = 1e-10,
-) -> DivisibilityReport:
-    """Checks the intermediate matrices T(t, s) for stochasticity on a grid.
+def witness_divisibility(spec: SemiMarkovSpec, times: np.ndarray) -> DivisibilityReport:
+    """Checks the intermediate matrices T(t, s) for stochasticity on a grid;
+    an entry below -1e-10 is a violation.
 
     Grid points s within 1e-6*T of a zero of the mixing function are flagged
     singular (the propagator inverse does not exist there) and skipped.
@@ -292,7 +289,7 @@ def witness_divisibility(
     upper = np.arange(n) >= rows[:, None]
     ratio = np.divide(hv, hv[rows, None], out=np.zeros(upper.shape), where=upper)
     lo = 0.5 * (1.0 - np.abs(ratio))
-    bad = lo < -tol
+    bad = lo < -1e-10
     stochastic = np.ones((n, n), dtype=bool)
     stochastic[rows] = ~bad
     i, j = np.nonzero(bad)

@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, default=None, help="scan horizon in rate*t")
     p.add_argument("--s-offset", type=float, default=None)
     p.add_argument("--directions", type=int, default=32)
-    common(p)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_measures)
 
     return parser

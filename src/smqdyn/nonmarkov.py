@@ -164,9 +164,9 @@ def distinguishability_trace(
     r1: QubitState,
     r2: QubitState,
     window: tuple[float, float],
-    n_points: int = 2000,
 ) -> DistinguishabilityTrace:
-    """Trace distance D(t), its derivative, and the growth intervals.
+    """Trace distance D(t) and its derivative on 2000 uniform times, and the
+    growth intervals.
 
     D(t) = sqrt(sum_i lam_i(t)^2 dr_i^2)/2 with dr the initial Bloch
     difference; the derivative sign is that of sum_i lam_i lam_i' dr_i^2, and
@@ -179,7 +179,7 @@ def distinguishability_trace(
     dyn = dynamics(ch, w)
     samples = _PairSamples(dyn.generators, window)
     intervals = samples.growth_intervals(weights[None])[0]
-    times = np.linspace(window[0], window[1], n_points)
+    times = np.linspace(window[0], window[1], 2000)
     lam = dyn.lambdas(times)
     dlam = dyn.lambda_dots(times)
     S = np.einsum("i,it->t", weights, lam**2)

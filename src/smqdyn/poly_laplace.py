@@ -23,8 +23,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
     "Polynomial",
     "RationalLaplace",
     "ExpPolyFunction",
@@ -46,23 +44,14 @@ class RootConvergenceError(RuntimeError):
     """Raised when Newton polishing of a polynomial root fails to converge."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Single source of truth for the numeric tolerances used by the suite.
-
-    root_cluster_radius is relative: two roots belong to the same cluster if
-    their distance is below radius*(1 + |root|).
-    """
-
-    root_cluster_radius: float = 1e-7
-    imag_part_cap: float = 1e-9
-    quadrature_check: float = 1e-8
-    newton_max_iter: int = 60
-    newton_tol: float = 1e-13
-    stationary_value_floor: float = 1e-12
-
-
-DEFAULT_TOL = Tolerances()
+#: Relative radius within which two roots or poles are one: |a - b| is at
+#: most ROOT_CLUSTER_RADIUS*(1 + |b|).
+ROOT_CLUSTER_RADIUS = 1e-7
+#: Largest imaginary part an evaluation may carry, relative to 1 + |real part|.
+IMAG_PART_CAP = 1e-9
+#: Newton polishing of roots: iteration budget and backward-error target.
+NEWTON_MAX_ITER = 60
+NEWTON_TOL = 1e-13
 
 
 def _trim(coeffs: Sequence[complex], floor: float = 0.0) -> tuple[complex, ...]:
@@ -145,23 +134,21 @@ class Polynomial:
         return coeffs[: order + 1]
 
 
-def poly_roots(
-    p: Polynomial, tol: Tolerances = DEFAULT_TOL
-) -> list[tuple[complex, int]]:
+def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
     """Roots of ``p`` with multiplicities, via companion-matrix eigenvalues.
 
     Simple roots are polished by Newton iteration; clusters within
-    ``root_cluster_radius*(1+|root|)`` are merged into one multiple root and
+    ``ROOT_CLUSTER_RADIUS*(1+|root|)`` are merged into one multiple root and
     polished with the multiplicity-corrected Newton step.
     """
     if p.degree < 1:
         raise ValueError("polynomial of degree 0 has no roots")
     raw = np.roots(np.asarray(p.coeffs[::-1], dtype=complex))
-    clusters = _cluster(list(raw), tol.root_cluster_radius)
+    clusters = _cluster(list(raw), ROOT_CLUSTER_RADIUS)
     dp = p.derivative()
     out = []
     for center, mult in clusters:
-        out.append((_polish(p, dp, center, mult, tol), mult))
+        out.append((_polish(p, dp, center, mult), mult))
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
 
@@ -187,29 +174,27 @@ def _backward_scale(p: Polynomial, x: complex) -> float:
     return sum(abs(c) * ax**i for i, c in enumerate(p.coeffs)) or 1.0
 
 
-def _polish(
-    p: Polynomial, dp: Polynomial, x: complex, mult: int, tol: Tolerances
-) -> complex:
-    for _ in range(tol.newton_max_iter):
+def _polish(p: Polynomial, dp: Polynomial, x: complex, mult: int) -> complex:
+    for _ in range(NEWTON_MAX_ITER):
         fx = p(x)
-        if abs(fx) <= tol.newton_tol * _backward_scale(p, x):
-            return _realify(x, tol)
+        if abs(fx) <= NEWTON_TOL * _backward_scale(p, x):
+            return _realify(x)
         dfx = dp(x)
         if dfx == 0:
             break
         step = mult * fx / dfx
         x = x - step
         if abs(step) <= 1e-16 * (1.0 + abs(x)):
-            return _realify(x, tol)
+            return _realify(x)
     # Multiple roots sit at the cluster mean with error far below the cluster
     # radius; accept them even when the simple-root residual test is tight.
     if mult > 1 or abs(p(x)) <= 1e-8 * _backward_scale(p, x):
-        return _realify(x, tol)
+        return _realify(x)
     raise RootConvergenceError(f"Newton polishing stalled at {x!r}")
 
 
-def _realify(z: complex, tol: Tolerances) -> complex:
-    if abs(z.imag) <= tol.root_cluster_radius * (1.0 + abs(z)):
+def _realify(z: complex) -> complex:
+    if abs(z.imag) <= ROOT_CLUSTER_RADIUS * (1.0 + abs(z)):
         return complex(z.real, 0.0)
     return z
 
@@ -253,12 +238,8 @@ class ExpPolyFunction:
 
     terms: tuple[tuple[complex, tuple[complex, ...]], ...]
 
-    def __init__(
-        self,
-        terms: Iterable[tuple[complex, Sequence[complex]]],
-        tol: Tolerances = DEFAULT_TOL,
-    ):
-        object.__setattr__(self, "terms", _canonical(terms, tol))
+    def __init__(self, terms: Iterable[tuple[complex, Sequence[complex]]]):
+        object.__setattr__(self, "terms", _canonical(terms))
 
     @staticmethod
     def zero() -> "ExpPolyFunction":
@@ -268,8 +249,8 @@ class ExpPolyFunction:
     def constant(value: float) -> "ExpPolyFunction":
         return ExpPolyFunction([(0.0, [value])])
 
-    def __call__(self, t, tol: Tolerances = DEFAULT_TOL):
-        return evaluate(self, t, tol)
+    def __call__(self, t):
+        return evaluate(self, t)
 
     def differentiate(self) -> "ExpPolyFunction":
         return differentiate(self)
@@ -348,14 +329,14 @@ class ExpPolyFunction:
 
 
 def _canonical(
-    terms: Iterable[tuple[complex, Sequence[complex]]], tol: Tolerances
+    terms: Iterable[tuple[complex, Sequence[complex]]],
 ) -> tuple[tuple[complex, tuple[complex, ...]], ...]:
     merged: list[tuple[complex, list[complex]]] = []
     for pole, coeffs in terms:
         pole = complex(pole)
         cs = [complex(c) for c in coeffs]
         for i, (p, existing) in enumerate(merged):
-            if abs(pole - p) <= tol.root_cluster_radius * (1.0 + abs(p)):
+            if abs(pole - p) <= ROOT_CLUSTER_RADIUS * (1.0 + abs(p)):
                 n = max(len(existing), len(cs))
                 existing.extend([0.0] * (n - len(existing)))
                 for k, c in enumerate(cs):
@@ -372,16 +353,14 @@ def _canonical(
             cs.pop()
         if not cs or max(abs(c) for c in cs) == 0.0:
             continue
-        if abs(pole.imag) <= tol.root_cluster_radius * (1.0 + abs(pole)):
+        if abs(pole.imag) <= ROOT_CLUSTER_RADIUS * (1.0 + abs(pole)):
             pole = complex(pole.real, 0.0)
         out.append((pole, tuple(cs)))
     out.sort(key=lambda pc: (pc[0].real, pc[0].imag))
     return tuple(out)
 
 
-def invert_laplace(
-    r: RationalLaplace, tol: Tolerances = DEFAULT_TOL
-) -> ExpPolyFunction:
+def invert_laplace(r: RationalLaplace) -> ExpPolyFunction:
     """Partial-fraction inversion of a strictly proper rational transform.
 
     Each pole p of multiplicity m contributes coefficients for t^0..t^{m-1};
@@ -395,7 +374,7 @@ def invert_laplace(
         )
     if all(c == 0 for c in r.num.coeffs):
         return ExpPolyFunction.zero()
-    roots = list(r.den_roots) if r.den_roots is not None else poly_roots(r.den, tol)
+    roots = list(r.den_roots) if r.den_roots is not None else poly_roots(r.den)
     terms = []
     for pole, mult in roots:
         others = [(p, m) for p, m in roots if p is not pole and p != pole]
@@ -427,18 +406,18 @@ def invert_laplace(
             k = mult - i - 1
             coeffs[k] = phi[i] / math.factorial(k)
         terms.append((pole, coeffs))
-    return ExpPolyFunction(terms, tol)
+    return ExpPolyFunction(terms)
 
 
-def evaluate(f: ExpPolyFunction, t, tol: Tolerances = DEFAULT_TOL):
+def evaluate(f: ExpPolyFunction, t):
     """Real value of ``f`` at time(s) t >= 0.
 
-    Raises if any imaginary residue exceeds imag_part_cap*(1+|Re|): that
+    Raises if any imaginary residue exceeds IMAG_PART_CAP*(1+|Re|): that
     indicates a pole set not closed under conjugation.  A scalar t takes a
     plain-Python term loop, which avoids numpy's per-call overhead.
     """
     if np.ndim(t) != 0:
-        return evaluate_all((f,), t, tol)[0]
+        return evaluate_all((f,), t)[0]
     x = float(t)
     if x < 0:
         raise ValueError("time must be nonnegative")
@@ -448,7 +427,7 @@ def evaluate(f: ExpPolyFunction, t, tol: Tolerances = DEFAULT_TOL):
         for c in reversed(coeffs):
             poly = poly * x + c
         val += poly * cmath.exp(pole * x)
-    if abs(val.imag) > tol.imag_part_cap * (1.0 + abs(val.real)):
+    if abs(val.imag) > IMAG_PART_CAP * (1.0 + abs(val.real)):
         raise ValueError(
             f"evaluation is not real within tolerance (|imag| up to {abs(val.imag):g})"
         )
@@ -459,7 +438,7 @@ def evaluate(f: ExpPolyFunction, t, tol: Tolerances = DEFAULT_TOL):
 _CHUNK = 2**12
 
 
-def evaluate_all(fs: Sequence[ExpPolyFunction], t, tol: Tolerances = DEFAULT_TOL):
+def evaluate_all(fs: Sequence[ExpPolyFunction], t):
     """Real values of several functions at times t >= 0, in one array pass.
 
     Returns shape (len(fs),) + shape(t); the checks are those of evaluate.
@@ -467,12 +446,12 @@ def evaluate_all(fs: Sequence[ExpPolyFunction], t, tol: Tolerances = DEFAULT_TOL
     ts = np.asarray(t, dtype=float)
     if np.any(ts < 0):
         raise ValueError("time must be nonnegative")
-    return _term_sums(*_stacked_terms(tuple(fs)), ts, tol)
+    return _term_sums(*_stacked_terms(tuple(fs)), ts)
 
 
-def _term_sums(poles, coeffs, ts: np.ndarray, tol: Tolerances | None = None):
+def _term_sums(poles, coeffs, ts: np.ndarray):
     # Real part of sum_j (sum_k coeffs[f, j, k] t^k) exp(poles[f, j] t) for
-    # each f, by Horner; with tol, each chunk passes evaluate's realness check.
+    # each f, by Horner; complex sums pass evaluate's realness check per chunk.
     x = ts.ravel()
     out = np.empty((len(poles), x.size))
     chunk = max(1, _CHUNK // poles.size)  # bounds the (F, M, n) temporaries
@@ -482,8 +461,8 @@ def _term_sums(poles, coeffs, ts: np.ndarray, tol: Tolerances | None = None):
         for k in range(coeffs.shape[-1] - 1, -1, -1):
             poly = poly * xc + coeffs[:, :, k, None]
         val = (poly * np.exp(poles[:, :, None] * xc)).sum(axis=1)
-        if tol is not None:
-            bad = np.abs(val.imag) > tol.imag_part_cap * (1.0 + np.abs(val.real))
+        if np.iscomplexobj(val):
+            bad = np.abs(val.imag) > IMAG_PART_CAP * (1.0 + np.abs(val.real))
             if np.any(bad):
                 worst = np.max(np.abs(val.imag))
                 raise ValueError(

@@ -208,12 +208,8 @@ class ChannelDynamics:
 
 
 @lru_cache(maxsize=128)
-def _dynamics(channel: PauliChannel, wtd: HypoExpWTD) -> ChannelDynamics:
-    return ChannelDynamics(channel, wtd)
-
-
 def dynamics(channel: PauliChannel, wtd: HypoExpWTD) -> ChannelDynamics:
-    return _dynamics(channel, wtd)
+    return ChannelDynamics(channel, wtd)
 
 
 def map_snapshot(ch: PauliChannel, w: HypoExpWTD, t: float) -> MapSnapshot:

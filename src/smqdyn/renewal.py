@@ -14,23 +14,20 @@ chain with a rigorous Poisson tail bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .poly_laplace import (
-    DEFAULT_TOL,
     ExpPolyFunction,
     Polynomial,
     RationalLaplace,
-    Tolerances,
     invert_laplace,
 )
 from .waiting_time import HypoExpWTD
 
 __all__ = [
-    "JumpCountLaw",
     "GeneratingFunction",
     "ExtremumPoint",
     "SeriesTruncationError",
@@ -54,7 +51,12 @@ class SeriesTruncationError(RuntimeError):
 
 
 def jump_probability(w: HypoExpWTD, n: int) -> ExpPolyFunction:
-    """Probability p_n(t) of exactly n completed waiting times up to t."""
+    """Probability p_n(t) of exactly n completed waiting times up to t.
+
+    For well-separated stage rates the closed-form coefficients grow like
+    binom(2n, n) and cancel in evaluation, so double precision supports
+    roughly n <= 15 there; series_backend is stable in n and t.
+    """
     if n < 0:
         raise ValueError("jump count must be >= 0")
     if n == 0:
@@ -68,29 +70,6 @@ def jump_probability(w: HypoExpWTD, n: int) -> ExpPolyFunction:
         den = den * f.den
     roots = tuple((p, m * (n + 1)) for p, m in f.den_roots)
     return invert_laplace(RationalLaplace(num, den, den_roots=roots))
-
-
-@dataclass
-class JumpCountLaw:
-    """Lazy cache of the jump-count probabilities of one waiting time.
-
-    The closed-form coefficients of p_n grow like binom(2n, n) times the
-    rate-ratio power for well-separated stage rates and cancel in evaluation,
-    so double precision supports roughly n <= 15 there; equal-rate (Erlang)
-    stages have a single pole and stay exact to much higher n.  Beyond that
-    regime use series_backend, which is uniformly stable in n and t.
-    """
-
-    wtd: HypoExpWTD
-    n_max: int = 64
-    _cache: dict[int, ExpPolyFunction] = field(default_factory=dict, repr=False)
-
-    def probability(self, n: int) -> ExpPolyFunction:
-        if n > self.n_max:
-            raise ValueError(f"jump count {n} above configured cap {self.n_max}")
-        if n not in self._cache:
-            self._cache[n] = jump_probability(self.wtd, n)
-        return self._cache[n]
 
 
 @dataclass(frozen=True)
@@ -280,16 +259,14 @@ def refine_brackets(f, a, b, xtol: float) -> np.ndarray:
 
 
 def find_extrema(
-    f: ExpPolyFunction,
-    window: tuple[float, float],
-    tol: Tolerances = DEFAULT_TOL,
+    f: ExpPolyFunction, window: tuple[float, float]
 ) -> list[ExtremumPoint]:
     """Interior critical points of f in the window, ordered by time.
 
     Sign changes of f' are bracketed on a grid finer than any pole period and
     refined all at once; zeros of f are located the same way.  Stationary
-    values below ``stationary_value_floor`` (times the window scale of |f|)
-    count as zero-touching minima.
+    values below 1e-12 times the window scale of |f| count as zero-touching
+    minima.
     """
     t0, T = window
     if T <= t0:
@@ -308,7 +285,7 @@ def find_extrema(
     h = (grid[1] - grid[0]) / 8.0
     points: list[ExtremumPoint] = []
     for t_star, val, cv in zip(stat, vals, curv):
-        if abs(val) < tol.stationary_value_floor * scale:
+        if abs(val) < 1e-12 * scale:
             kind = "min"  # zero-touching: keeps measure sums well defined
         else:
             if cv == 0.0:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .poly_laplace import (
-    DEFAULT_TOL,
+    ROOT_CLUSTER_RADIUS,
     ExpPolyFunction,
     Polynomial,
     RationalLaplace,
@@ -77,7 +77,7 @@ class HypoExpWTD:
         groups: list[list[float]] = []
         for r in sorted(self.rates):
             for g in groups:
-                if abs(r - g[0]) <= DEFAULT_TOL.root_cluster_radius * (1.0 + g[0]):
+                if abs(r - g[0]) <= ROOT_CLUSTER_RADIUS * (1.0 + g[0]):
                     g.append(r)
                     break
             else:

@@ -6,7 +6,6 @@ from scipy.optimize import brentq
 from scipy.stats import poisson
 
 from smqdyn.renewal import (
-    JumpCountLaw,
     SeriesTruncationError,
     _poisson_weights,
     even_odd_difference,
@@ -49,23 +48,18 @@ class TestJumpProbability:
         # Separated rates: the closed-form coefficients cancel to a noise
         # floor ~ binom(2n,n) 2^n eps, so n <= 10 resolves 1e-7 here and the
         # Poisson tail beyond n = 10 is below that on this window.
-        law = JumpCountLaw(HypoExpWTD([1.0, 2.0]), n_max=40)
+        ps = [jump_probability(HypoExpWTD([1.0, 2.0]), n) for n in range(11)]
         for t in np.linspace(0.0, 2.5, 6):
-            probs = [law.probability(n)(float(t)) for n in range(11)]
+            probs = [p(float(t)) for p in ps]
             assert min(probs) > -1e-7
             assert sum(probs) == pytest.approx(1.0, abs=1e-7)
 
     def test_erlang_counts_stay_exact_to_high_order(self):
-        law = JumpCountLaw(HypoExpWTD.erlang(2, 1.0), n_max=64)
+        ps = [jump_probability(HypoExpWTD.erlang(2, 1.0), n) for n in range(41)]
         for t in (2.0, 8.0, 15.0):
-            probs = [law.probability(n)(float(t)) for n in range(41)]
+            probs = [p(float(t)) for p in ps]
             assert min(probs) > -1e-12
             assert sum(probs) == pytest.approx(1.0, abs=1e-10)
-
-    def test_law_enforces_cap(self):
-        law = JumpCountLaw(EXP1, n_max=4)
-        with pytest.raises(ValueError):
-            law.probability(5)
 
 
 class TestEvenOddDifference:
