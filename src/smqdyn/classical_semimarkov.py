@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .poly_laplace import ExpPolyFunction
-from .renewal import even_odd_difference, find_extrema
+from .renewal import even_odd_difference, find_extrema, near_zero_mask
 from .waiting_time import HypoExpWTD
 
 __all__ = [
@@ -280,9 +280,7 @@ def witness_divisibility(spec: SemiMarkovSpec, times: np.ndarray) -> Divisibilit
         for p in find_extrema(h, (0.0, T_max + 1e-9))
         if p.kind == "zero-crossing"
     ]
-    eps = 1e-6 * T_max
-    near = np.abs(times[:, None] - np.array(zeros, dtype=float)) <= eps
-    singular = near.any(axis=1)
+    singular = near_zero_mask(times, zeros, T_max)
     hv = h(times)
     n = len(times)
     rows = np.flatnonzero(~singular)

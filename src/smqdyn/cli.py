@@ -30,6 +30,7 @@ from .classical_semimarkov import (
 )
 from .nonmarkov import (
     PairSearchConfig,
+    _is_pure_dephasing,
     blp_measure_dephasing,
     blp_measure_numeric,
     divisibility_scan,
@@ -131,6 +132,13 @@ def _emit_json(path: str | None, args, payload: dict) -> None:
             stream.close()
 
 
+def _emit_table(args, header: list[str], rows) -> None:
+    if args.format == "json":
+        _emit_json(args.out, args, {"data": [dict(zip(header, r)) for r in rows]})
+    else:
+        _emit_csv(args.out, args, header, rows)
+
+
 def cmd_kolmogorov(args) -> int:
     wtd = parse_wtd_spec(args.wtd)
     pi, sigma = (0.5, 0.5) if args.preset == "half" else (0.0, 1.0)
@@ -222,31 +230,19 @@ def cmd_qm(args) -> int:
 def cmd_sign_scan(args) -> int:
     xs = np.linspace(args.x_min, args.x_max, args.x_points)
     lam_t = np.linspace(0.0, args.tmax, args.t_points)
-    rows = []
     if args.mode == "qr":
         args.wtd = None  # not read in this mode, so echoed as null
-        for r in xs:
-            w = HypoExpWTD([args.rate, r * args.rate])
-            q = even_odd_difference(w)
-            vals = q(lam_t / args.rate)
-            for x, v in zip(lam_t, vals):
-                rows.append([_fmt(r), _fmt(x), 1 if v >= 0 else -1])
+        scale = args.rate
+        fs = [even_odd_difference(HypoExpWTD([scale, r * scale])) for r in xs]
     else:
         wtd = parse_wtd_spec(args.wtd)
         scale = wtd.rate_scale
-        for nu in xs:
-            g = generating_function(wtd, 1.0 - 2.0 * float(nu))
-            vals = g.value(lam_t / scale)
-            for x, v in zip(lam_t, vals):
-                rows.append([_fmt(nu), _fmt(x), 1 if v >= 0 else -1])
-    if args.format == "json":
-        _emit_json(
-            args.out,
-            args,
-            {"data": [{"x": r[0], "lambda_t": r[1], "sign": r[2]} for r in rows]},
-        )
-    else:
-        _emit_csv(args.out, args, ["x", "lambda_t", "sign"], rows)
+        fs = [generating_function(wtd, 1.0 - 2.0 * float(nu)).value for nu in xs]
+    rows = []
+    for x0, f in zip(xs, fs):
+        for x, v in zip(lam_t, f(lam_t / scale)):
+            rows.append([_fmt(x0), _fmt(x), 1 if v >= 0 else -1])
+    _emit_table(args, ["x", "lambda_t", "sign"], rows)
     return EXIT_OK
 
 
@@ -287,14 +283,7 @@ def cmd_tcl(args) -> int:
         "residual",
         "singular",
     ]
-    if args.format == "json":
-        _emit_json(
-            args.out,
-            args,
-            {"data": [dict(zip(header, r)) for r in rows]},
-        )
-    else:
-        _emit_csv(args.out, args, header, rows)
+    _emit_table(args, header, rows)
     return EXIT_OK
 
 
@@ -313,20 +302,8 @@ def cmd_choi_scan(args) -> int:
             else:
                 v = scan.min_component[i, j]
                 rows.append([_fmt(t), _fmt(s), _fmt(v), -1 if v < -1e-12 else 1, 0])
-    header = ["t", "s", "min_component", "sign", "singular"]
-    if args.format == "json":
-        _emit_json(args.out, args, {"data": [dict(zip(header, r)) for r in rows]})
-    else:
-        _emit_csv(args.out, args, header, rows)
+    _emit_table(args, ["t", "s", "min_component", "sign", "singular"], rows)
     return EXIT_OK
-
-
-def _is_pure_dephasing(ch: PauliChannel) -> float | None:
-    """The generating-function argument when the map only damps coherences."""
-    mu = ch.mu
-    if abs(mu[3] - 1.0) < 1e-12 and abs(mu[1] - mu[2]) < 1e-12:
-        return mu[1]
-    return None
 
 
 def cmd_measures(args) -> int:
@@ -452,9 +429,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_SPEC_ERROR
     try:
         return args.func(args)
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR

@@ -29,6 +29,7 @@ from .renewal import (
     GeneratingFunction,
     find_extrema,
     generating_function,
+    near_zero_mask,
     pole_grid,
     refine_brackets,
     sign_brackets,
@@ -93,8 +94,8 @@ class MeasureResult:
         return math.isinf(self.value)
 
 
-def _auto_window(derivs: list[ExpPolyFunction], tol: float = 1e-12) -> float:
-    """Horizon beyond which the remaining total variation is below tol."""
+def _auto_window(derivs: list[ExpPolyFunction]) -> float:
+    """Horizon beyond which the remaining total variation is below 1e-12."""
     slowest = 1.0
     for d in derivs:
         for p in d.poles:
@@ -103,7 +104,7 @@ def _auto_window(derivs: list[ExpPolyFunction], tol: float = 1e-12) -> float:
     T = 10.0 * slowest
     for _ in range(60):
         tail = sum(d.tail_envelope_integral(T) for d in derivs)
-        if tail < tol:
+        if tail < 1e-12:
             return T
         T *= 1.5
     raise RuntimeError("tail bound did not converge; non-decaying component?")
@@ -137,6 +138,14 @@ def _positive_variation(
     if run_start is not None:
         contributions.append(((run_start, crit[-1]), run_gain))
     return sum(c for _, c in contributions), contributions
+
+
+def _is_pure_dephasing(ch: PauliChannel) -> float | None:
+    """The generating-function argument when the map only damps coherences."""
+    mu = ch.mu
+    if abs(mu[3] - 1.0) < 1e-12 and abs(mu[1] - mu[2]) < 1e-12:
+        return mu[1]
+    return None
 
 
 def blp_measure_dephasing(w: HypoExpWTD, mu: float = -1.0) -> MeasureResult:
@@ -372,21 +381,13 @@ def divisibility_scan(
     s_values = np.asarray(s_values, dtype=float)
     dyn = dynamics(ch, w)
     T = float(t_values.max() + s_values.max())
-    zeros = _singular_times(dyn, T)
-    eps = 1e-6 * T
-    singular = np.array(
-        [any(abs(t - z) <= eps for z in zeros) for t in t_values], dtype=bool
-    )
+    singular = near_zero_mask(t_values, _singular_times(dyn, T), T)
     lam_t = dyn.lambdas(t_values)[:, :, None]  # (3, nt, 1)
     lam_ts = dyn.lambdas(t_values[:, None] + s_values[None, :])
     min_comp = _choi_weights(lam_t, lam_ts).min(axis=0)
     min_comp[singular, :] = np.nan
-    cells = []
-    for i in np.flatnonzero(~singular):
-        for j in np.flatnonzero(min_comp[i] < -1e-12):
-            cells.append(
-                (float(t_values[i]), float(s_values[j]), float(min_comp[i, j]))
-            )
+    i, j = np.nonzero(min_comp < -1e-12)  # row-major: t, then s
+    cells = zip(t_values[i].tolist(), s_values[j].tolist(), min_comp[i, j].tolist())
     return DivisibilityScan(t_values, s_values, min_comp, singular, tuple(cells))
 
 

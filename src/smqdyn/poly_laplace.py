@@ -54,10 +54,9 @@ NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-13
 
 
-def _trim(coeffs: Sequence[complex], floor: float = 0.0) -> tuple[complex, ...]:
+def _trim(coeffs: Sequence[complex]) -> tuple[complex, ...]:
     cs = list(coeffs) or [0.0]
-    scale = max(abs(c) for c in cs)
-    while len(cs) > 1 and abs(cs[-1]) <= floor * scale:
+    while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
     return tuple(complex(c) for c in cs)
 
@@ -144,7 +143,7 @@ def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
     if p.degree < 1:
         raise ValueError("polynomial of degree 0 has no roots")
     raw = np.roots(np.asarray(p.coeffs[::-1], dtype=complex))
-    clusters = _cluster(list(raw), ROOT_CLUSTER_RADIUS)
+    clusters = _cluster(list(raw))
     dp = p.derivative()
     out = []
     for center, mult in clusters:
@@ -153,13 +152,13 @@ def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
     return out
 
 
-def _cluster(points: list[complex], radius_rel: float) -> list[tuple[complex, int]]:
+def _cluster(points: list[complex]) -> list[tuple[complex, int]]:
     points = sorted(points, key=lambda z: (z.real, z.imag))
     groups: list[list[complex]] = []
     for z in points:
         for g in groups:
             c = sum(g) / len(g)
-            if abs(z - c) <= radius_rel * (1.0 + abs(c)):
+            if abs(z - c) <= ROOT_CLUSTER_RADIUS * (1.0 + abs(c)):
                 g.append(z)
                 break
         else:
@@ -275,8 +274,8 @@ class ExpPolyFunction:
     def poles(self) -> tuple[complex, ...]:
         return tuple(p for p, _ in self.terms)
 
-    def is_zero(self, floor: float = 0.0) -> bool:
-        return all(abs(c) <= floor for _, cs in self.terms for c in cs)
+    def is_zero(self) -> bool:
+        return all(c == 0 for _, cs in self.terms for c in cs)
 
     def to_rational(self) -> RationalLaplace:
         """Laplace transform: c t^k e^{pt} -> c k!/(u-p)^{k+1}."""
@@ -353,9 +352,7 @@ def _canonical(
             cs.pop()
         if not cs or max(abs(c) for c in cs) == 0.0:
             continue
-        if abs(pole.imag) <= ROOT_CLUSTER_RADIUS * (1.0 + abs(pole)):
-            pole = complex(pole.real, 0.0)
-        out.append((pole, tuple(cs)))
+        out.append((_realify(pole), tuple(cs)))
     out.sort(key=lambda pc: (pc[0].real, pc[0].imag))
     return tuple(out)
 

@@ -113,7 +113,7 @@ class QubitState:
 
     rho: tuple[tuple[complex, ...], ...]
 
-    def __init__(self, rho, tol: float = 1e-12):
+    def __init__(self, rho):
         mat = np.asarray(rho, dtype=complex)
         if mat.shape != (2, 2):
             raise ValueError("expected a 2x2 matrix")
@@ -122,7 +122,7 @@ class QubitState:
         if abs(np.trace(mat).real - 1.0) > 1e-10:
             raise ValueError("density matrix must have unit trace")
         evals = np.linalg.eigvalsh(mat)
-        if evals.min() < -tol:
+        if evals.min() < -1e-12:
             raise PositivityError(f"negative eigenvalue {evals.min():g}")
         object.__setattr__(self, "rho", tuple(tuple(row) for row in mat))
 
@@ -157,8 +157,8 @@ class MapSnapshot:
     lambda_dot_t: tuple[float, float, float]
     t: float
 
-    def is_physical(self, tol: float = 1e-9) -> bool:
-        return all(abs(v) <= 1.0 + tol for v in self.lambda_t)
+    def is_physical(self) -> bool:
+        return all(abs(v) <= 1.0 + 1e-9 for v in self.lambda_t)
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,8 @@ class ChoiVector:
     def min_component(self) -> float:
         return min(self.mu_t)
 
-    def is_completely_positive(self, tol: float = 1e-12) -> bool:
-        return self.min_component >= -tol
+    def is_completely_positive(self) -> bool:
+        return self.min_component >= -1e-12
 
     @property
     def negativity(self) -> float:

@@ -36,6 +36,7 @@ __all__ = [
     "generating_function",
     "series_backend",
     "find_extrema",
+    "near_zero_mask",
     "pole_grid",
     "sign_brackets",
     "refine_brackets",
@@ -90,7 +91,7 @@ def generating_function(w: HypoExpWTD, mu: float) -> GeneratingFunction:
 
     mu = 1 short-circuits to the constant 1 (the transform degenerates to
     1/u); mu = 0 reuses the exactly known stage poles of the survival
-    probability.
+    probability; equal stage rates take the closed form of _erlang_terms.
     """
     mu = float(mu)
     if not -1.0 <= mu <= 1.0:
@@ -98,12 +99,36 @@ def generating_function(w: HypoExpWTD, mu: float) -> GeneratingFunction:
     if mu == 1.0:
         value = ExpPolyFunction.constant(1.0)
         return GeneratingFunction(mu, value, ExpPolyFunction.zero())
+    if mu != 0.0 and len(set(w.rates)) == 1:
+        value = ExpPolyFunction(_erlang_terms(w.rates[0], w.n_stages, mu))
+        # Poles closer than the cluster radius merge; inversion handles those.
+        if len(value.terms) == w.n_stages:
+            return GeneratingFunction(mu, value, value.differentiate())
     f = w.laplace_pdf()
     num = w.one_minus_laplace_over_u()
     den = f.den - Polynomial([mu * f.num.coeffs[0]])
     roots = f.den_roots if mu == 0.0 else None
     value = invert_laplace(RationalLaplace(num, den, den_roots=roots))
     return GeneratingFunction(mu, value, value.differentiate())
+
+
+def _erlang_terms(rate: float, m: int, mu: float):
+    """Poles and residues of lam_mu for m stages of one rate.
+
+    The poles solve (u + rate)^m = mu rate^m: p_k = rate (z_k - 1) with
+    z_k = |mu|^(1/m) e^(i theta_k), theta_k = (2k + [mu < 0]) pi/m taken in
+    (-pi, pi] so that conjugate poles are exact; the residues are
+    (mu - 1) z_k / (m mu (z_k - 1)).  z_k - 1 is formed without cancellation
+    for mu near 1 and theta_k near 0.
+    """
+    j = np.arange(1 - m, m + 1)
+    theta = j[j % 2 == (mu < 0.0)] * math.pi / m
+    log_r = math.log(abs(mu)) / m
+    z = math.exp(log_r) * np.exp(1j * theta)
+    z_m1 = math.expm1(log_r) * np.cos(theta) - 2.0 * np.sin(0.5 * theta) ** 2
+    z_m1 = z_m1 + 1j * z.imag
+    residues = (mu - 1.0) * z / (m * mu * z_m1)
+    return zip(rate * z_m1, residues[:, None])
 
 
 def even_odd_difference(w: HypoExpWTD) -> ExpPolyFunction:
@@ -298,3 +323,10 @@ def find_extrema(
             points.append(ExtremumPoint(float(t_zero), 0.0, "zero-crossing"))
     points.sort(key=lambda p: p.t)
     return points
+
+
+def near_zero_mask(times, zeros, horizon: float) -> np.ndarray:
+    """Mask of the times within 1e-6*horizon of one of the zeros: there a
+    propagator built on the inverse of the zeroed function is singular."""
+    gaps = np.abs(np.asarray(times)[:, None] - np.asarray(zeros, dtype=float))
+    return (gaps <= 1e-6 * horizon).any(axis=1)

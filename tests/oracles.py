@@ -114,3 +114,16 @@ def erlang_parity_series(m: int, lam: float, t: float, n_max: int = 2000) -> flo
 
 def poisson_pmf(n: int, mean: float) -> float:
     return math.exp(-mean) * mean**n / math.factorial(n)
+
+
+def erlang_phase_type_generating_function(m: int, lam: float, mu: float, ts):
+    """E[mu^N(t)] for m stages of rate lam as e_1^T exp(t Q_mu) 1.
+
+    Q_mu is the cyclic bidiagonal stage generator whose last-to-first
+    transition, the completion of a waiting time, is weighted by mu.
+    """
+    from scipy.linalg import expm
+
+    q = lam * (np.eye(m, k=1) - np.eye(m))
+    q[m - 1, 0] += lam * mu
+    return np.array([expm(t * q)[0].sum() for t in ts])

@@ -109,6 +109,14 @@ class TestQmCommand:
             total += float(r[2])
             assert float(r[3]) == pytest.approx(total, abs=1e-12)
 
+    def test_erlang_28_table_is_bounded_by_one(self, tmp_path):
+        code = main(["qm", "--m-min", "28", "--m-max", "28",
+                     "--out", str(tmp_path / "q.csv")])
+        assert code == 0
+        _, rows = read_csv((tmp_path / "q.csv").read_text())
+        assert len(rows) == 600
+        assert max(float(r[1]) for r in rows) <= 1.0 + 1e-12
+
 
 class TestSignScanCommand:
     def test_rate_ratio_mode(self, capsys):
@@ -225,6 +233,11 @@ class TestMeasuresCommand:
         argv = ["measures", "--channel", "ep", "--wtd", "conv:1,0.14", "--s-offset", lag]
         assert main(argv) == 2
         assert "lag must be positive" in capsys.readouterr().err
+
+    def test_has_no_format_option(self, capsys):
+        argv = ["measures", "--channel", "phaseflip", "--wtd", "exp:1"]
+        assert main(argv + ["--format", "csv"]) == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     def test_memoryless_all_measures_vanish(self, tmp_path):
         out = tmp_path / "m.json"

@@ -207,6 +207,42 @@ class TestDivisibilityScan:
         assert np.isnan(scan.min_component[2, 0])
 
 
+def _reference_scan_cells(ch, w, t_values, s_values):
+    """divisibility_scan's singular mask and negative cells by loops."""
+    dyn = dynamics(ch, w)
+    T = float(t_values.max() + s_values.max())
+    zeros = _singular_times(dyn, T)
+    singular = np.array(
+        [any(abs(t - z) <= 1e-6 * T for z in zeros) for t in t_values], dtype=bool
+    )
+    min_comp = divisibility_scan(ch, w, t_values, s_values).min_component
+    cells = []
+    for i in np.flatnonzero(~singular):
+        for j in np.flatnonzero(min_comp[i] < -1e-12):
+            cells.append((float(t_values[i]), float(s_values[j]), float(min_comp[i, j])))
+    return singular, tuple(cells)
+
+
+SCAN_CASES = [
+    (PHASEFLIP, EXP1, np.linspace(0, 5, 60), np.linspace(0, 3, 60)),
+    (EXCHANGE, EXP1, np.linspace(0, 5, 60), np.linspace(0, 3, 60)),
+    (PHASEFLIP, ERLANG2, np.array([0.0, 2.5]), np.array([0.25, 0.5, 1.0])),
+    (PHASEFLIP, ERLANG2, np.array([0.0, 1.0, 3 * math.pi / 4, 2.0]), np.array([0.5])),
+    (EXCHANGE, HypoExpWTD([1.0, 0.13]), np.linspace(0.0, 40.0, 80),
+     np.linspace(0.05, 8.0, 60)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(SCAN_CASES)))
+def test_scan_matches_loop_reference(case):
+    ch, w, t_values, s_values = SCAN_CASES[case]
+    scan = divisibility_scan(ch, w, t_values, s_values)
+    singular, cells = _reference_scan_cells(ch, w, t_values, s_values)
+    assert np.array_equal(scan.singular_t, singular)
+    assert scan.negative_cells == cells
+    assert all(type(x) is float for c in scan.negative_cells for x in c)
+
+
 class TestRenormalizedDivisibilityMeasures:
     def test_memoryless_measures_vanish(self):
         assert hou_measure(PHASEFLIP, EXP1).value == 0.0

@@ -18,7 +18,12 @@ from smqdyn.renewal import (
 )
 from smqdyn.waiting_time import HypoExpWTD
 
-from oracles import erlang_parity_series, poisson_pmf, two_stage_parity
+from oracles import (
+    erlang_parity_series,
+    erlang_phase_type_generating_function,
+    poisson_pmf,
+    two_stage_parity,
+)
 
 ERLANG2 = HypoExpWTD.erlang(2, 1.0)
 EXP1 = HypoExpWTD.exponential(1.0)
@@ -131,6 +136,38 @@ class TestGeneratingFunction:
                 assert g.value(0.0) == pytest.approx(1.0, abs=1e-10)
                 ts = np.linspace(0.0, 40.0, 600)
                 assert np.max(np.abs(g.value(ts))) <= 1.0 + 1e-10
+
+    @pytest.mark.parametrize("m", [2, 5, 12, 20, 30, 40])
+    def test_erlang_closed_form_matches_phase_type(self, m):
+        ts = np.linspace(0.0, 30.0, 61)
+        for lam in (0.5, 2.0):
+            for mu in (1.0, -1.0, 0.5, -0.5, 0.01, -0.01, 1e-4, -1e-4, 0.999):
+                g = generating_function(HypoExpWTD.erlang(m, lam), mu)
+                ref = erlang_phase_type_generating_function(m, lam, mu, ts)
+                bound = 1e-13 if abs(mu) >= 1e-2 else 1e-11
+                assert np.max(np.abs(g.value(ts) - ref)) <= bound, (lam, mu)
+
+    @pytest.mark.parametrize(
+        "m, lam, mu",
+        [
+            (11, 1.3397506681997466, -0.011792339267961305),
+            (12, 0.852285778841722, -0.03156209388717235),
+            (12, 0.65111323787045, 0.20506922755681423),
+            (12, 0.5423036421260969, 0.010443848512703857),
+            (12, 0.6501705246773386, 0.04335074056440935),
+        ],
+    )
+    def test_erlang_closed_form_starts_at_one(self, m, lam, mu):
+        g = generating_function(HypoExpWTD.erlang(m, lam), mu)
+        assert abs(g.value(0.0) - 1.0) <= 1e-13
+
+    def test_erlang_poles_inside_the_cluster_radius_are_inverted(self):
+        # For m = 2 and mu = 1e-15 the two closed-form poles are 6e-8 apart
+        # and would merge into one simple pole, dropping the t e^{-t} term.
+        ts = np.linspace(0.0, 30.0, 61)
+        g = generating_function(ERLANG2, 1e-15)
+        ref = erlang_phase_type_generating_function(2, 1.0, 1e-15, ts)
+        assert np.max(np.abs(g.value(ts) - ref)) <= 1e-11
 
 
 class TestSeriesBackend:
