@@ -219,7 +219,9 @@ def _reference_scan_cells(ch, w, t_values, s_values):
     cells = []
     for i in np.flatnonzero(~singular):
         for j in np.flatnonzero(min_comp[i] < -1e-12):
-            cells.append((float(t_values[i]), float(s_values[j]), float(min_comp[i, j])))
+            cells.append(
+                (float(t_values[i]), float(s_values[j]), float(min_comp[i, j]))
+            )
     return singular, tuple(cells)
 
 
