@@ -30,7 +30,6 @@ from .classical_semimarkov import (
 )
 from .nonmarkov import (
     PairSearchConfig,
-    _is_pure_dephasing,
     blp_measure_dephasing,
     blp_measure_numeric,
     divisibility_scan,
@@ -304,6 +303,14 @@ def cmd_choi_scan(args) -> int:
                 rows.append([_fmt(t), _fmt(s), _fmt(v), -1 if v < -1e-12 else 1, 0])
     _emit_table(args, ["t", "s", "min_component", "sign", "singular"], rows)
     return EXIT_OK
+
+
+def _is_pure_dephasing(ch: PauliChannel) -> float | None:
+    """The generating-function argument when the map only damps coherences."""
+    mu = ch.mu
+    if abs(mu[3] - 1.0) < 1e-12 and abs(mu[1] - mu[2]) < 1e-12:
+        return mu[1]
+    return None
 
 
 def cmd_measures(args) -> int:

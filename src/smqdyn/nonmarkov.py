@@ -140,14 +140,6 @@ def _positive_variation(
     return sum(c for _, c in contributions), contributions
 
 
-def _is_pure_dephasing(ch: PauliChannel) -> float | None:
-    """The generating-function argument when the map only damps coherences."""
-    mu = ch.mu
-    if abs(mu[3] - 1.0) < 1e-12 and abs(mu[1] - mu[2]) < 1e-12:
-        return mu[1]
-    return None
-
-
 def blp_measure_dephasing(w: HypoExpWTD, mu: float = -1.0) -> MeasureResult:
     """Exact trace-distance measure for a pure-dephasing map.
 

@@ -100,9 +100,12 @@ def generating_function(w: HypoExpWTD, mu: float) -> GeneratingFunction:
         value = ExpPolyFunction.constant(1.0)
         return GeneratingFunction(mu, value, ExpPolyFunction.zero())
     if mu != 0.0 and len(set(w.rates)) == 1:
-        value = ExpPolyFunction(_erlang_terms(w.rates[0], w.n_stages, mu))
-        # Poles closer than the cluster radius merge; inversion handles those.
-        if len(value.terms) == w.n_stages:
+        poles, residues = _erlang_terms(w.rates[0], w.n_stages, mu)
+        value = ExpPolyFunction(zip(poles, residues[:, None]))
+        # Near mu = 0 the residues cancel (rounding bound eps sum|residue|),
+        # and poles may merge within the cluster radius: invert those instead.
+        rounding = np.finfo(float).eps * np.abs(residues).sum()
+        if rounding <= 1e-11 and len(value.terms) == w.n_stages:
             return GeneratingFunction(mu, value, value.differentiate())
     f = w.laplace_pdf()
     num = w.one_minus_laplace_over_u()
@@ -119,7 +122,8 @@ def _erlang_terms(rate: float, m: int, mu: float):
     z_k = |mu|^(1/m) e^(i theta_k), theta_k = (2k + [mu < 0]) pi/m taken in
     (-pi, pi] so that conjugate poles are exact; the residues are
     (mu - 1) z_k / (m mu (z_k - 1)).  z_k - 1 is formed without cancellation
-    for mu near 1 and theta_k near 0.
+    for mu near 1 and theta_k near 0.  (As den_roots of invert_laplace they
+    fail: the monomial numerator of (1 - fhat)/u loses ~3^m there.)
     """
     j = np.arange(1 - m, m + 1)
     theta = j[j % 2 == (mu < 0.0)] * math.pi / m
@@ -127,8 +131,7 @@ def _erlang_terms(rate: float, m: int, mu: float):
     z = math.exp(log_r) * np.exp(1j * theta)
     z_m1 = math.expm1(log_r) * np.cos(theta) - 2.0 * np.sin(0.5 * theta) ** 2
     z_m1 = z_m1 + 1j * z.imag
-    residues = (mu - 1.0) * z / (m * mu * z_m1)
-    return zip(rate * z_m1, residues[:, None])
+    return rate * z_m1, (mu - 1.0) * z / (m * mu * z_m1)
 
 
 def even_odd_difference(w: HypoExpWTD) -> ExpPolyFunction:

@@ -161,6 +161,21 @@ class TestGeneratingFunction:
         g = generating_function(HypoExpWTD.erlang(m, lam), mu)
         assert abs(g.value(0.0) - 1.0) <= 1e-13
 
+    @pytest.mark.parametrize(
+        "m, mu", [(3, 1e-12), (5, 1e-15), (40, 1e-15), (40, -1e-15)]
+    )
+    def test_erlang_near_mu_zero_is_accurate_or_raises(self, m, mu):
+        # The closed-form residues grow like |mu|^(1/m - 1) and cancel here;
+        # the result must match the reference or fail loudly.
+        ts = np.linspace(0.0, 30.0, 61)
+        for lam in (0.5, 2.0):
+            ref = erlang_phase_type_generating_function(m, lam, mu, ts)
+            try:
+                values = generating_function(HypoExpWTD.erlang(m, lam), mu).value(ts)
+            except ValueError:
+                continue
+            assert np.max(np.abs(values - ref)) <= 1e-11, lam
+
     def test_erlang_poles_inside_the_cluster_radius_are_inverted(self):
         # For m = 2 and mu = 1e-15 the two closed-form poles are 6e-8 apart
         # and would merge into one simple pole, dropping the t e^{-t} term.
