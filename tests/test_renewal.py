@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import poisson
 
+from smqdyn.poly_laplace import Polynomial, RationalLaplace, invert_laplace
 from smqdyn.renewal import (
     SeriesTruncationError,
     _poisson_weights,
@@ -162,7 +163,7 @@ class TestGeneratingFunction:
         assert abs(g.value(0.0) - 1.0) <= 1e-13
 
     @pytest.mark.parametrize(
-        "m, mu", [(3, 1e-12), (5, 1e-15), (40, 1e-15), (40, -1e-15)]
+        "m, mu", [(2, 1e-15), (3, 1e-12), (5, 1e-15), (40, 1e-15), (40, -1e-15)]
     )
     def test_erlang_near_mu_zero_is_accurate_or_raises(self, m, mu):
         # The closed-form residues grow like |mu|^(1/m - 1) and cancel here;
@@ -177,12 +178,14 @@ class TestGeneratingFunction:
             assert np.max(np.abs(values - ref)) <= 1e-11, lam
 
     def test_erlang_poles_inside_the_cluster_radius_are_inverted(self):
-        # For m = 2 and mu = 1e-15 the two closed-form poles are 6e-8 apart
-        # and would merge into one simple pole, dropping the t e^{-t} term.
-        ts = np.linspace(0.0, 30.0, 61)
-        g = generating_function(ERLANG2, 1e-15)
-        ref = erlang_phase_type_generating_function(2, 1.0, 1e-15, ts)
-        assert np.max(np.abs(g.value(ts) - ref)) <= 1e-11
+        # At rate 1e-6 and mu = 1e-3 the two closed-form poles are 6.3e-8
+        # apart and would merge into one simple pole, dropping the t e^{pt}
+        # term; the general inversion keeps one double pole instead.
+        w = HypoExpWTD.erlang(2, 1e-6)
+        f = w.laplace_pdf()
+        den = f.den - Polynomial([1e-3 * f.num.coeffs[0]])
+        general = invert_laplace(RationalLaplace(w.one_minus_laplace_over_u(), den))
+        assert generating_function(w, 1e-3).value == general
 
 
 class TestSeriesBackend:
