@@ -8,6 +8,7 @@ maps, and the signs of time-local master-equation rates.
 """
 
 from .poly_laplace import (
+    AccuracyError,
     ExpPolyFunction,
     ImproperRationalError,
     Polynomial,

@@ -28,6 +28,7 @@ __all__ = [
     "ExpPolyFunction",
     "ImproperRationalError",
     "RootConvergenceError",
+    "AccuracyError",
     "poly_roots",
     "invert_laplace",
     "evaluate",
@@ -42,6 +43,10 @@ class ImproperRationalError(ValueError):
 
 class RootConvergenceError(RuntimeError):
     """Raised when Newton polishing of a polynomial root fails to converge."""
+
+
+class AccuracyError(RuntimeError):
+    """Raised when an evaluation keeps an imaginary part above IMAG_PART_CAP."""
 
 
 #: Relative radius within which two roots or poles are one: |a - b| is at
@@ -409,9 +414,9 @@ def invert_laplace(r: RationalLaplace) -> ExpPolyFunction:
 def evaluate(f: ExpPolyFunction, t):
     """Real value of ``f`` at time(s) t >= 0.
 
-    Raises if any imaginary residue exceeds IMAG_PART_CAP*(1+|Re|): that
-    indicates a pole set not closed under conjugation.  A scalar t takes a
-    plain-Python term loop, which avoids numpy's per-call overhead.
+    Raises AccuracyError if the imaginary part exceeds IMAG_PART_CAP*(1+|Re|):
+    that indicates a pole set not closed under conjugation.  A scalar t takes
+    a plain-Python term loop, which avoids numpy's per-call overhead.
     """
     if np.ndim(t) != 0:
         return evaluate_all((f,), t)[0]
@@ -425,7 +430,7 @@ def evaluate(f: ExpPolyFunction, t):
             poly = poly * x + c
         val += poly * cmath.exp(pole * x)
     if abs(val.imag) > IMAG_PART_CAP * (1.0 + abs(val.real)):
-        raise ValueError(
+        raise AccuracyError(
             f"evaluation is not real within tolerance (|imag| up to {abs(val.imag):g})"
         )
     return val.real
@@ -462,7 +467,7 @@ def _term_sums(poles, coeffs, ts: np.ndarray):
             bad = np.abs(val.imag) > IMAG_PART_CAP * (1.0 + np.abs(val.real))
             if np.any(bad):
                 worst = np.max(np.abs(val.imag))
-                raise ValueError(
+                raise AccuracyError(
                     f"evaluation is not real within tolerance (|imag| up to {worst:g})"
                 )
         out[:, lo : lo + chunk] = val.real

@@ -163,17 +163,24 @@ def series_backend(
 ) -> float:
     """Truncated-series evaluation of lam_mu(t), independent of inversion.
 
-    Uniformizes the stage chain at the fastest stage rate: conditioned on K
-    events of a Poisson clock of that rate, the number of completed stages is
-    a K-step inhomogeneous Bernoulli walk.  Truncating the Poisson sum leaves
-    an error below its tail mass because |mu^{N(t)}| <= 1.
+    Uniformizes the m-state cyclic stage chain at the fastest stage rate
+    lam_max: one step of P = I + Q_mu/lam_max leaves stage i for the next
+    with probability r_i/lam_max, and the wrap from the last stage to stage
+    0, which completes a waiting time, carries a factor mu.  Then
+    lam_mu(t) = sum_K Poisson(lam_max t; K) s_K with s_K = e_0^T P^K 1, and
+    the rows P^K 1 for K <= k_max come from about log2(k_max) doublings, each
+    one m x m matmul on the rows so far: O(m^2 k_max) flops per call, with no
+    roots or eigenvalues.  Truncating the Poisson sum leaves an error below
+    its tail mass because every row sum of |P| is at most 1, so |s_K| <= 1.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if not -1.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [-1, 1]")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("time must be nonnegative")
+    if math.isinf(t):
+        raise ValueError("time must be finite")
     if t == 0.0 or mu == 1.0:
         return 1.0
     m = w.n_stages
@@ -190,17 +197,14 @@ def series_backend(
         raise SeriesTruncationError(
             f"need {k_max} uniformization steps, cap is {cap}"
         )
-    advance = np.array([w.rates[i % m] / lam_max for i in range(k_max + 1)])
-    mu_of_stage = np.power(mu, np.arange(k_max + 1) // m).astype(float)
-    v = np.zeros(k_max + 1)
-    v[0] = 1.0
-    total = weights[0] * v[0]  # K=0: still in stage 0
-    for k in range(1, k_max + 1):
-        moved = v[: k] * advance[: k]
-        v[: k] -= moved
-        v[1 : k + 1] += moved
-        total += weights[k] * float(np.dot(v[: k + 1], mu_of_stage[: k + 1]))
-    return float(total)
+    p = np.array(w.rates) / lam_max
+    step = np.diag(1.0 - p) + np.diag(p[:-1], 1)
+    step[m - 1, 0] += mu * p[-1]  # the wrap completes a waiting time
+    rows, power = np.ones((1, m)), step  # rows[K] = (P^K 1)^T, power = P^len(rows)
+    while rows.shape[0] <= k_max:
+        rows = np.vstack([rows, rows @ power.T])
+        power = power @ power
+    return float(weights @ rows[: k_max + 1, 0])
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from smqdyn.classical_semimarkov import (
     witness_contractivity,
     witness_divisibility,
 )
+from smqdyn.poly_laplace import AccuracyError
 from smqdyn.renewal import even_odd_difference, find_extrema
 from smqdyn.waiting_time import HypoExpWTD
 
@@ -143,6 +144,13 @@ class TestVolterraSolve:
         reference = _reference_volterra_matrices(spec, 10.0, 0.5)
         first = np.argmax(np.abs(reference).max(axis=(1, 2)) > 10.0)
         assert first * 0.5 == 2.5
+
+    def test_non_real_kernel_is_an_accuracy_error(self):
+        # The partial fractions of a 20-stage kernel at rate 1e3 leave an
+        # imaginary part of about 1e-6: a numerical failure, not a bad spec.
+        spec = SemiMarkovSpec(0.3, 0.6, HypoExpWTD.erlang(20, 1e3))
+        with pytest.raises(AccuracyError, match="not real within tolerance"):
+            volterra_solve(spec, 1.0, 1e-3)
 
     def test_closed_form_oracle_survival_case(self):
         spec = SemiMarkovSpec(0.5, 0.5, HypoExpWTD.erlang(2, 1.0))

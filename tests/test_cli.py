@@ -171,6 +171,15 @@ class TestTclCommand:
         i_z = header.index("canon_z")
         assert all(float(r[i_z]) == pytest.approx(1.0, abs=1e-9) for r in rows)
 
+    @pytest.mark.parametrize("cmd", ["tcl", "choiscan", "measures"])
+    def test_non_real_evaluation_is_a_numerical_failure(self, cmd, capsys):
+        # Two map eigenvalues use mu = 1e-12: the three Erlang poles lie 1e-4
+        # from -1 and their inversion is not real within tolerance.
+        code = main([cmd, "--channel", "pauli:0.5000000000005,0.4999999999995,0,0",
+                     "--wtd", "erlang:3:1"])
+        assert code == 3
+        assert "not real within tolerance" in capsys.readouterr().err
+
 
 class TestChoiScanCommand:
     def test_memoryless_all_nonnegative(self, capsys):

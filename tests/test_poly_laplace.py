@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smqdyn.poly_laplace import (
+    AccuracyError,
     ExpPolyFunction,
     ImproperRationalError,
     Polynomial,
@@ -144,7 +145,7 @@ class TestEvaluate:
 
     def test_unpaired_complex_pole_rejected(self):
         f = ExpPolyFunction([((-1.0 + 1.0j), [1.0])])
-        with pytest.raises(ValueError, match="not real"):
+        with pytest.raises(AccuracyError, match="not real"):
             evaluate(f, 1.0)
 
     def test_vectorized(self):
@@ -170,7 +171,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("t", [1.0, np.array([0.0, 1.0])])
     def test_unpaired_pole_rejected_on_both_paths(self, t):
         f = ExpPolyFunction([((-1.0 + 1.0j), [1.0])])
-        with pytest.raises(ValueError, match="not real within tolerance"):
+        with pytest.raises(AccuracyError, match="not real within tolerance"):
             evaluate(f, t)
 
     def test_stacked_evaluation_matches_term_loop_exactly(self):

@@ -5,7 +5,12 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import poisson
 
-from smqdyn.poly_laplace import Polynomial, RationalLaplace, invert_laplace
+from smqdyn.poly_laplace import (
+    AccuracyError,
+    Polynomial,
+    RationalLaplace,
+    invert_laplace,
+)
 from smqdyn.renewal import (
     SeriesTruncationError,
     _poisson_weights,
@@ -173,7 +178,7 @@ class TestGeneratingFunction:
             ref = erlang_phase_type_generating_function(m, lam, mu, ts)
             try:
                 values = generating_function(HypoExpWTD.erlang(m, lam), mu).value(ts)
-            except ValueError:
+            except AccuracyError:
                 continue
             assert np.max(np.abs(values - ref)) <= 1e-11, lam
 
@@ -186,6 +191,41 @@ class TestGeneratingFunction:
         den = f.den - Polynomial([1e-3 * f.num.coeffs[0]])
         general = invert_laplace(RationalLaplace(w.one_minus_laplace_over_u(), den))
         assert generating_function(w, 1e-3).value == general
+
+
+def series_reference(w: HypoExpWTD, mu: float, t: float, tol: float = 1e-10) -> float:
+    """The uniformization walk over completed-stage counts, O(k_max^2).
+
+    After K steps of the Poisson clock at the fastest rate, v[j] is the
+    probability of j completed stages; stage j advances with probability
+    rate[j mod m]/lam_max and is worth mu^(j // m).  series_backend folds
+    this walk onto the m-state cyclic chain and must agree with it.
+    """
+    m = w.n_stages
+    lam_max = max(w.rates)
+    weights = _poisson_weights(lam_max * t, tol)
+    k_max = weights.size - 1
+    advance = np.array([w.rates[i % m] / lam_max for i in range(k_max + 1)])
+    mu_of_stage = np.power(mu, np.arange(k_max + 1) // m).astype(float)
+    v = np.zeros(k_max + 1)
+    v[0] = 1.0
+    total = weights[0] * v[0]  # K=0: still in stage 0
+    for k in range(1, k_max + 1):
+        moved = v[:k] * advance[:k]
+        v[:k] -= moved
+        v[1 : k + 1] += moved
+        total += weights[k] * float(np.dot(v[: k + 1], mu_of_stage[: k + 1]))
+    return float(total)
+
+
+FOLD_WTDS = {
+    "exp": EXP1,
+    **{f"erlang{m}": HypoExpWTD.erlang(m, 1.0) for m in range(2, 7)},
+    **{f"conv_1_{r}": HypoExpWTD([1.0, r]) for r in (0.1, 0.5, 2.0)},
+    "near_equal": HypoExpWTD([1.0, 1.0 + 1e-5, 1.0 - 1e-5]),
+}
+FOLD_MUS = (-1.0, -0.5, 0.0, 0.5, 0.9, 1.0 - 1e-6, -(1.0 - 1e-6))
+SPREAD_RATES = (1e-3, 1.0, 1e3)
 
 
 class TestSeriesBackend:
@@ -250,6 +290,52 @@ class TestSeriesBackend:
             series_backend(EXP1, 2.0, 1.0, 1e-8)
         with pytest.raises(ValueError):
             series_backend(EXP1, 0.5, -1.0, 1e-8)
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            series_backend(EXP1, 0.5, math.nan)
+        with pytest.raises(ValueError, match="time must be finite"):
+            series_backend(EXP1, 0.5, math.inf)
+
+    @pytest.mark.parametrize("name", sorted(FOLD_WTDS))
+    def test_fold_matches_the_stage_count_walk(self, name):
+        w = FOLD_WTDS[name]
+        for mu in FOLD_MUS:
+            for t in np.linspace(0.05, 20.0, 12):
+                got = series_backend(w, mu, float(t))
+                assert abs(got - series_reference(w, mu, float(t))) <= 2e-13, (mu, t)
+
+    def test_fold_matches_the_walk_up_to_the_cap(self):
+        # The spread-rate grid of the benchmark stops one step short of the
+        # cap's first raise, at 1519 uniformization steps of the 1536 allowed.
+        w = HypoExpWTD(list(SPREAD_RATES))
+        times = np.linspace(0.0, 8.0, 151)[1:25]
+        assert _poisson_weights(1e3 * float(times[-1]), 1e-10).size - 1 == 1519
+        for mu in FOLD_MUS:
+            for t in times[::-4]:
+                got = series_backend(w, mu, float(t))
+                assert abs(got - series_reference(w, mu, float(t))) <= 2e-13, (mu, t)
+
+    @pytest.mark.parametrize("rate", [0.3, 1.0, 7.0])
+    def test_single_stage_is_the_poisson_generating_function(self, rate):
+        # For mu < 0 the Poisson sum alternates and cancels, so only an
+        # absolute error means anything there; the fold tests cover it.
+        w = HypoExpWTD.exponential(rate)
+        for mu in (0.0, 0.5, 0.9, 1.0 - 1e-6):
+            for t in np.linspace(0.05, 20.0, 40):
+                ref = math.exp(-rate * t * (1.0 - mu))
+                got = series_backend(w, mu, float(t), 1e-14)
+                assert got == pytest.approx(ref, rel=1e-14, abs=0.0), (mu, t)
+
+    @pytest.mark.parametrize("s", [0.5, 2.0**-0.37, 1.0, 1.82579, 2.0])
+    def test_spread_rates_raise_at_the_same_time(self, s):
+        w = HypoExpWTD([s * r for r in SPREAD_RATES])
+        times = np.linspace(0.0, 8.0 / s, 151)[1:]
+        for i, t in enumerate(times):
+            try:
+                series_backend(w, 0.3, float(t))
+            except SeriesTruncationError as exc:
+                assert (i, str(exc)) == (24, "need 1577 uniformization steps, cap is 1536")
+                return
+        pytest.fail("no SeriesTruncationError on the spread-rate grid")
 
 
 class TestFindExtrema:
