@@ -1,16 +1,18 @@
 """Trajectory-level oracle for renewal and two-state semi-Markov quantities.
 
 Every trajectory draws from its own counter-based stream, numpy's
-Philox4x64-10 keyed by (seed, trajectory index), so estimates are
-bit-identical regardless of batching.  The estimators evaluate those streams
-in closed form for a batch of trajectories at a time and sum the
-per-trajectory values in trajectory order.  Exponential stages are sampled by
-inverse CDF.
+Philox4x64-10 keyed by (seed, trajectory index).  The estimators evaluate those
+streams in closed form for a batch of trajectories at a time, only up to the
+first jump past the horizon, but account the draws in whole blocks and sum the
+per-trajectory values in trajectory order, so the estimates are bit-identical
+to a loop over one trajectory at a time, whatever the batch size.  Exponential
+stages are sampled by inverse CDF.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -32,7 +34,7 @@ __all__ = [
     "write_estimates_csv",
 ]
 
-_CHUNK = 512  # trajectories per batch; bounds the temporaries, not the results
+_CHUNK = 1024  # trajectories per batch; bounds the temporaries, not the results
 
 
 @dataclass(frozen=True)
@@ -105,36 +107,57 @@ def _philox_random(seed: int, index: np.ndarray, start, count: int) -> np.ndarra
 def _jump_counts(w: HypoExpWTD, times, horizon: float, draws):
     """Jump counts at `times` for a batch of trajectories, one row each.
 
-    `draws(rows, j, width)` returns the `width` uniforms of waiting-time
-    block j for the trajectories `rows`.  A trajectory draws blocks until its
-    waiting times sum past the horizon.  Also returns the uniforms each used.
+    `draws(rows, first, width)` returns uniforms first .. first + width - 1 of
+    the streams `rows`.  Also returns the uniforms in the blocks of waits a row
+    uses until they sum past the horizon.  A row draws a block's head, then its
+    rest unless its last jump has passed the horizon by more than any sum of
+    all its waits can round: counts and blocks equal drawing whole blocks.
     """
-    block = max(int(horizon / w.mean + 8.0 * np.sqrt(horizon / w.mean + 1.0)) + 4, 8)
+    x, s = horizon / w.mean, w.n_stages
+    block = max(int(x + 8.0 * np.sqrt(x + 1.0)) + 4, 8)
+    head = int(x + 2.0 * np.sqrt(x + 1.0)) + 2
 
-    def waits(rows, j):
-        u = draws(rows, j, block * w.n_stages).reshape(-1, block, w.n_stages)
+    def waits(rows, first, width):
+        u = draws(rows, first * s, width * s).reshape(-1, width, s)
         return (-np.log1p(-u) / np.asarray(w.rates)).sum(axis=2)
 
-    blocks = [waits(slice(None), 0)]
-    totals = blocks[0].sum(axis=1)
-    while (more := np.flatnonzero(totals <= horizon)).size:
-        blocks.append(np.full_like(blocks[0], np.inf))  # inf: never drawn
-        blocks[-1][more] = waits(more, len(blocks) - 1)
-        totals[more] += blocks[-1][more].sum(axis=1)
-    jumps = np.cumsum(np.hstack(blocks), axis=1)
-    counts = np.empty((len(totals), len(times)), dtype=np.intp)
-    for k, t in enumerate(times):
-        counts[:, k] = np.count_nonzero(jumps <= t, axis=1)
-    return counts, np.count_nonzero(np.isfinite(jumps), axis=1) * w.n_stages
+    def extend(rows, new):  # from the last jump on, so sums stay bitwise sequential
+        jumps = np.cumsum(np.hstack([last[rows, None], new]), axis=1)[:, 1:]
+        counts[rows] += (jumps[:, :, None] <= times).sum(axis=1)
+        last[rows] = jumps[:, -1]
+
+    new = waits(slice(None), 0, head)
+    rows, last, totals = np.arange(len(new)), np.zeros(len(new)), np.zeros(len(new))
+    counts, used = np.zeros((len(new), len(times)), dtype=np.intp), np.zeros_like(rows)
+    for j in itertools.count(1):
+        used[rows] += block * s
+        extend(rows, new)
+        keep = last[rows] <= horizon * (1.0 + 2.0 * np.finfo(float).eps * j * block)
+        rows, new = rows[keep], new[keep]
+        if rows.size:
+            rest = waits(rows, (j - 1) * block + head, block - head)
+            extend(rows, rest)
+            totals[rows] += np.hstack([new, rest]).sum(axis=1)
+            rows = rows[totals[rows] <= horizon]
+        if not rows.size:
+            return counts, used
+        new = waits(rows, j * block, head)
 
 
 def sample_jump_count(w: HypoExpWTD, t: float, rng: np.random.Generator) -> int:
-    """Number of completed waiting times up to t for a single trajectory."""
-    if t < 0:
+    """Completed waiting times up to t; leaves `rng` past the blocks used."""
+    if not t >= 0:
         raise ValueError("time must be nonnegative")
-    if t == 0.0:
-        return 0
-    counts, _ = _jump_counts(w, [t], t, lambda rows, j, width: rng.random((1, width)))
+    if not math.isfinite(t):
+        raise ValueError("time must be finite")
+    end = [0]  # the draws of one row follow each other
+
+    def draws(rows, first, width):
+        end[0] = first + width
+        return rng.random((1, width))
+
+    counts, used = _jump_counts(w, [t], t, draws)
+    rng.random(int(used[0]) - end[0])  # the rest of the last block
     return int(counts[0, 0])
 
 
@@ -150,8 +173,8 @@ def _estimate(w: HypoExpWTD, times, cfg: SimConfig, values, offset: int = 0):
     for start in range(0, cfg.n_traj, _CHUNK):
         index = np.arange(start, min(start + _CHUNK, cfg.n_traj), dtype=_U)
 
-        def draws(rows, j, width):
-            return _philox_random(cfg.seed, index[rows], offset + j * width, width)
+        def draws(rows, first, width):
+            return _philox_random(cfg.seed, index[rows], offset + first, width)
 
         vals = values(*_jump_counts(w, times, cfg.horizon, draws), index)
         rows = np.concatenate([acc[None], np.stack([vals, vals * vals], axis=1)])
@@ -170,6 +193,8 @@ def _estimate(w: HypoExpWTD, times, cfg: SimConfig, values, offset: int = 0):
 
 def _check_times(times: Sequence[float], cfg: SimConfig) -> np.ndarray:
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("observation times must be a 1-D sequence")
     if times.size and not float(times.min()) >= 0.0:
         raise ValueError("time must be nonnegative")
     if times.size and float(times.max()) > cfg.horizon:

@@ -24,6 +24,14 @@ EXP1 = HypoExpWTD.exponential(1.0)
 TIMES = [0.5, 2.0, 5.0, 9.0]
 CFG = SimConfig(n_traj=10000, seed=2024, horizon=10.0)
 
+ESTIMATORS = [
+    lambda t: estimate_generating_function(ERLANG2, 0.5, t, CFG),
+    lambda t: estimate_jump_probability(ERLANG2, 1, t, CFG),
+    lambda t: simulate_two_state(
+        SemiMarkovSpec(0.5, 0.5, ERLANG2), ProbabilityVector((1.0, 0.0)), t, CFG
+    ),
+]
+
 
 # Reference: one generator per trajectory, drawn and accumulated one at a time.
 
@@ -44,6 +52,20 @@ def _ref_jump_times(w, horizon, rng):
         total += more.sum()
     times = np.cumsum(np.concatenate(chunks) if len(chunks) > 1 else chunks[0])
     return times[times <= horizon]
+
+
+class _Stream:
+    """Stream whose uniforms `f(start, count)` are drawn in order, as from a
+    Generator; `pos` counts the uniforms drawn so far."""
+
+    def __init__(self, f):
+        self.f, self.pos = f, 0
+
+    def random(self, shape=None):
+        count = int(np.prod(() if shape is None else shape))
+        u = self.f(self.pos, count)
+        self.pos += count
+        return u[0] if shape is None else u.reshape(shape)
 
 
 def _ref_accumulate(values_iter, n_traj, n_times):
@@ -113,6 +135,30 @@ class TestSampling:
         se = np.std(counts, ddof=1) / math.sqrt(len(counts))
         assert abs(np.mean(counts) - 1.0) < 3 * se
 
+    @pytest.mark.parametrize("t, scale", [(0.0, 1.0), (1.0, 1.0), (3.0, 1e-2)])
+    def test_generator_left_past_the_blocks_used(self, t, scale):
+        """Uniforms scaled by 1e-2 make the trajectory use several blocks."""
+
+        def stream():
+            if scale == 1.0:
+                return trajectory_rng(3, 0)
+            return _Stream(lambda i, n: scale * mc._philox_random(3, [0], i, n)[0])
+
+        rng, ref = stream(), stream()
+        jumps = _ref_jump_times(ERLANG2, t, ref)
+        assert sample_jump_count(ERLANG2, t, rng) == len(jumps)
+        if scale != 1.0:
+            assert ref.pos > 2 * 18 * 2  # more than two blocks of 18 two-stage waits
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [(-1.0, "nonnegative"), (math.nan, "nonnegative"), (math.inf, "finite")],
+    )
+    def test_bad_time_rejected(self, t, message):
+        with pytest.raises(ValueError, match=f"time must be {message}"):
+            sample_jump_count(ERLANG2, t, trajectory_rng(1, 0))
+
     def test_parity_estimate_matches_analytic(self):
         q = even_odd_difference(ERLANG2)
         est = estimate_generating_function(ERLANG2, -1.0, [10.0], CFG)[0]
@@ -180,19 +226,16 @@ class TestEstimators:
         assert len(estimate_generating_function(ERLANG2, 0.5, [1.0], cfg)) == 1
         SimConfig(np.int64(1), np.int64(0), 1.0)
 
-    @pytest.mark.parametrize(
-        "estimate",
-        [
-            lambda t: estimate_generating_function(ERLANG2, 0.5, t, CFG),
-            lambda t: estimate_jump_probability(ERLANG2, 1, t, CFG),
-            lambda t: simulate_two_state(
-                SemiMarkovSpec(0.5, 0.5, ERLANG2), ProbabilityVector((1.0, 0.0)), t, CFG
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("estimate", ESTIMATORS)
     def test_negative_times_rejected(self, estimate):
         with pytest.raises(ValueError, match="time must be nonnegative"):
             estimate([1.0, -1.0])
+
+    @pytest.mark.parametrize("estimate", ESTIMATORS)
+    @pytest.mark.parametrize("times", [[[0.5, 1.0]], 1.0])
+    def test_times_must_be_one_dimensional(self, estimate, times):
+        with pytest.raises(ValueError, match="observation times must be a 1-D sequence"):
+            estimate(times)
 
     def test_negative_jump_count_rejected(self):
         with pytest.raises(ValueError, match="jump count must be >= 0"):
@@ -254,9 +297,8 @@ class TestBatchedStreams:
             def random(self, shape=None):
                 return 1e-3 * self.rng.random(shape)
 
-        def draws(rows, j, width):
-            start = offset + j * width
-            return 1e-3 * mc._philox_random(5, index[rows], start, width)
+        def draws(rows, start, width):
+            return 1e-3 * mc._philox_random(5, index[rows], offset + start, width)
 
         counts, used = mc._jump_counts(w, times, horizon, draws)
         for i in index:
@@ -267,6 +309,50 @@ class TestBatchedStreams:
             next_draw = mc._philox_random(5, index[i : i + 1], offset + used[i], 1)
             assert rng.rng.random() == next_draw[0, 0]
         assert used.min() > 2 * 18 * 2  # more than two blocks of 18 two-stage waits
+
+    def test_counts_at_the_reference_jump_times(self):
+        """Jump times continue bit for bit from a head to the rest of its block
+        and to the next block: at every jump time of the loop, and one ulp
+        below it, the counts are the loop's."""
+
+        def f(start, count):
+            return 1e-2 * mc._philox_random(8, [0], start, count)[0]
+
+        jumps = _ref_jump_times(ERLANG2, 3.0, _Stream(f))
+        times = np.concatenate([jumps, np.nextafter(jumps, 0.0)])
+        counts, used = mc._jump_counts(
+            ERLANG2, times, 3.0, lambda rows, start, width: f(start, width)[None]
+        )
+        assert np.array_equal(counts[0], np.searchsorted(jumps, times, side="right"))
+        assert used[0] > 2 * 18 * 2  # more than two blocks of 18 two-stage waits
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_horizon_inside_the_done_margin(self, below):
+        """Four waits, then zero waits until well past the first block.  The
+        block's pairwise sum can round below the cumsum of its head, and the
+        horizon sits at that cumsum or one ulp below it, so only the rounding
+        decides whether the loop draws a second block."""
+        topped_up = 0
+        for seed in range(20):
+            v = -np.expm1(-(0.8 + 0.1 * np.random.default_rng(seed).random(4)))
+
+            def f(start, count, v=v):
+                pos = np.arange(start, start + count)
+                return np.where(pos < 4, v[np.minimum(pos, 3)], np.where(pos < 64, 0.0, 0.5))
+
+            horizon = np.cumsum(_ref_stage_draws(EXP1, 4, _Stream(f)))[-1]
+            if below:
+                horizon = np.nextafter(horizon, 0.0)
+            ref = _Stream(f)
+            jumps = _ref_jump_times(EXP1, horizon, ref)
+            times = np.array([0.0, horizon / 2, horizon])
+            counts, used = mc._jump_counts(
+                EXP1, times, horizon, lambda rows, start, width: f(start, width)[None]
+            )
+            assert np.array_equal(counts[0], np.searchsorted(jumps, times, side="right"))
+            assert used[0] == ref.pos
+            topped_up += ref.pos > 24  # a first block holds at most 24 waits here
+        assert topped_up
 
     @pytest.mark.parametrize(
         "w, times",
