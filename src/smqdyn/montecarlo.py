@@ -6,7 +6,9 @@ streams in closed form for a batch of trajectories at a time, only up to the
 first jump past the horizon, but account the draws in whole blocks and sum the
 per-trajectory values in trajectory order, so the estimates are bit-identical
 to a loop over one trajectory at a time, whatever the batch size.  Exponential
-stages are sampled by inverse CDF.
+stages are sampled by inverse CDF.  Estimators on the same waiting time,
+observation times, configuration and draw offset reduce one kept set of jump
+counts.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
 ]
 
 _CHUNK = 1024  # trajectories per batch; bounds the temporaries, not the results
+_KEEP = 2**22  # most counts (n_traj x times) a kept ensemble holds; bounds memory
+_last: tuple = (None, ())  # key and batches of the ensemble kept
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ def _philox_random(seed: int, index: np.ndarray, start, count: int) -> np.ndarra
         x0, x1, x2, x3 = (
             _mulhi(_M1, x2) ^ x1 ^ k0, x2 * _M1, _mulhi(_M0, x0) ^ x3 ^ k1, x0 * _M0
         )
-    words = np.stack([x0, x1, x2, x3], axis=-1).reshape(len(index), -1)
+    words = np.stack([x0, x1, x2, x3], axis=-1).reshape(len(index), 4 * x0.shape[1])
     cols = (start % _U(4)).astype(np.intp)[:, None] + np.arange(count)
     return (np.take_along_axis(words, cols, axis=1) >> _U(11)) * 2.0**-53
 
@@ -161,22 +165,53 @@ def sample_jump_count(w: HypoExpWTD, t: float, rng: np.random.Generator) -> int:
     return int(counts[0, 0])
 
 
+def _ensemble(w: HypoExpWTD, times: np.ndarray, cfg: SimConfig, offset: int):
+    """Batches (start, counts, used) of `_jump_counts` over all trajectories.
+
+    A batch holds what `_jump_counts` returns for the streams of trajectories
+    start, start + 1, ... past their first `offset` draws, read-only and in
+    the narrowest unsigned dtype that holds it.  The most recent ensemble of
+    at most `_KEEP` counts is kept, so estimators on the same (w, times, cfg,
+    offset) compute its streams once; a larger one is computed batch by batch
+    as it is reduced, so its memory stays one batch.
+    """
+    global _last
+    key = (w, tuple(times.tolist()), cfg, offset)
+    kept_key, kept = _last  # one read: another thread may replace the slot
+    if kept_key == key:
+        return kept
+    _last = (None, ())  # drop the old ensemble before computing the new one
+
+    def batches():
+        for start in range(0, cfg.n_traj, _CHUNK):
+            index = np.arange(start, min(start + _CHUNK, cfg.n_traj), dtype=_U)
+
+            def draws(rows, first, width):
+                return _philox_random(cfg.seed, index[rows], offset + first, width)
+
+            arrays = _jump_counts(w, times, cfg.horizon, draws)
+            arrays = [a.astype(np.min_scalar_type(a.max(initial=0))) for a in arrays]
+            for a in arrays:
+                a.setflags(write=False)
+            yield start, *arrays
+
+    if cfg.n_traj * len(times) > _KEEP:
+        return batches()
+    kept = tuple(batches())
+    _last = (key, kept)
+    return kept
+
+
 def _estimate(w: HypoExpWTD, times, cfg: SimConfig, values, offset: int = 0):
     """Mean and standard error of `values(counts, used, index)` over trajectories.
 
-    For a batch of trajectory indices, `counts` and `used` are what
-    `_jump_counts` returns for their streams past the first `offset` draws.
-    The sums run through `np.add.accumulate`, which adds one trajectory at a
-    time in index order, so the batch size never changes a bit.
+    `values` runs on the batches of `_ensemble`.  The sums run through
+    `np.add.accumulate`, which adds one trajectory at a time in index order,
+    so the batch size never changes a bit.
     """
     acc = np.zeros((2, len(times)))
-    for start in range(0, cfg.n_traj, _CHUNK):
-        index = np.arange(start, min(start + _CHUNK, cfg.n_traj), dtype=_U)
-
-        def draws(rows, first, width):
-            return _philox_random(cfg.seed, index[rows], offset + first, width)
-
-        vals = values(*_jump_counts(w, times, cfg.horizon, draws), index)
+    for start, counts, used in _ensemble(w, times, cfg, offset):
+        vals = values(counts, used, np.arange(start, start + len(used), dtype=_U))
         rows = np.concatenate([acc[None], np.stack([vals, vals * vals], axis=1)])
         acc = np.add.accumulate(rows, axis=0)[-1]
     n_traj = cfg.n_traj
@@ -209,13 +244,18 @@ def estimate_generating_function(
     if not -1.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [-1, 1]")
     times = _check_times(times, cfg)
-    return _estimate(w, times, cfg, lambda counts, *_: np.power(float(mu), counts))
+    # dtype: numpy 1.x would compute a power of uint8 counts in float16
+    return _estimate(
+        w, times, cfg, lambda counts, *_: np.power(float(mu), counts, dtype=float)
+    )
 
 
 def estimate_jump_probability(
     w: HypoExpWTD, n: int, times: Sequence[float], cfg: SimConfig
 ) -> list[Estimate]:
     """Empirical frequency of exactly n jumps up to each observation time."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError("jump count must be an integer")
     if n < 0:
         raise ValueError("jump count must be >= 0")
     times = _check_times(times, cfg)
@@ -240,7 +280,7 @@ def simulate_two_state(
 
     def values(counts, used, index):
         steps = int(counts.max()) if counts.size else 0
-        u = _philox_random(cfg.seed, index, 1 + used, steps)
+        u = _philox_random(cfg.seed, index, used.astype(_U) + _U(1), steps)
         states = np.empty((len(index), steps + 1), dtype=np.int8)
         states[:, 0] = _philox_random(cfg.seed, index, 0, 1)[:, 0] >= p0.p[0]
         for k in range(steps):

@@ -14,6 +14,7 @@ chain with a rigorous Poisson tail bound.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,6 +59,8 @@ def jump_probability(w: HypoExpWTD, n: int) -> ExpPolyFunction:
     binom(2n, n) and cancel in evaluation, so double precision supports
     roughly n <= 15 there; series_backend is stable in n and t.
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValueError("jump count must be an integer")
     if n < 0:
         raise ValueError("jump count must be >= 0")
     if n == 0:

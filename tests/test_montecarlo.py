@@ -241,6 +241,11 @@ class TestEstimators:
         with pytest.raises(ValueError, match="jump count must be >= 0"):
             estimate_jump_probability(ERLANG2, -1, TIMES, CFG)
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, "2"])
+    def test_non_integral_jump_count_rejected(self, n):
+        with pytest.raises(ValueError, match="jump count must be an integer"):
+            estimate_jump_probability(ERLANG2, n, TIMES, CFG)
+
 
 class TestTwoState:
     def test_degenerate_initial_state_is_exact_at_time_zero(self):
@@ -276,6 +281,11 @@ class TestBatchedStreams:
                     rng = trajectory_rng(seed, int(i))
                     rng.random(start)
                     assert np.array_equal(row, rng.random(count))
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_philox_empty_index(self, count):
+        got = mc._philox_random(3, np.array([], dtype=np.uint64), 2, count)
+        assert got.shape == (0, count) and got.dtype == float
 
     def test_philox_per_row_start(self):
         index = np.arange(4, dtype=np.uint64)
@@ -395,6 +405,93 @@ class TestBatchedStreams:
                 ]
             )
         assert runs[0] == runs[1]
+
+
+class TestEnsembleReuse:
+    """Estimators on the same (w, times, cfg, offset) share one ensemble."""
+
+    W, CFG = HypoExpWTD([1.0, 0.5]), SimConfig(n_traj=3000, seed=77, horizon=6.0)
+    TIMES = [0.5, 2.0, 6.0]
+
+    @pytest.fixture(autouse=True)
+    def empty_slot(self, monkeypatch):
+        monkeypatch.setattr(mc, "_last", (None, ()))
+
+    def count_calls(self, monkeypatch, name):
+        calls, f = [], getattr(mc, name)
+
+        def counted(*args):
+            calls.append(args)
+            return f(*args)
+
+        monkeypatch.setattr(mc, name, counted)
+        return calls
+
+    def test_warm_calls_equal_cold_calls_and_draw_nothing(self, monkeypatch):
+        w, times, cfg = self.W, self.TIMES, self.CFG
+        calls = [
+            lambda: estimate_generating_function(w, -0.6, times, cfg),
+            lambda: estimate_jump_probability(w, 2, times, cfg),
+            lambda: estimate_generating_function(w, 0.25, times, cfg),
+        ]
+        cold = []
+        for call in calls:
+            monkeypatch.setattr(mc, "_last", (None, ()))
+            cold.append(call())
+        draws = self.count_calls(monkeypatch, "_philox_random")
+        assert [call() for call in calls] == cold
+        assert not draws
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(w=HypoExpWTD([1.0, 0.25])),
+            dict(seed=78),
+            dict(n_traj=3001),
+            dict(horizon=6.5),
+            dict(times=[0.5, 2.0, 5.0]),
+            dict(offset=1),
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_any_change_of_the_key_recomputes(self, monkeypatch, change):
+        args = dict(w=self.W, times=self.TIMES, offset=0, **vars(self.CFG))
+        changed = {**args, **change}
+
+        def run(w, times, offset, **cfg):
+            cfg = SimConfig(**cfg)
+            if offset:
+                spec, p0 = SemiMarkovSpec(0.4, 0.7, w), ProbabilityVector((1.0, 0.0))
+                return simulate_two_state(spec, p0, times, cfg)
+            return estimate_jump_probability(w, 1, times, cfg)
+
+        run(**args)
+        ensembles = self.count_calls(monkeypatch, "_jump_counts")
+        got = run(**changed)
+        assert len(ensembles) == math.ceil(changed["n_traj"] / mc._CHUNK)
+        monkeypatch.setattr(mc, "_last", (None, ()))
+        assert run(**changed) == got
+
+    def test_kept_arrays_are_read_only_and_narrow(self):
+        times = np.array(self.TIMES)
+        batches = mc._ensemble(self.W, times, self.CFG, 0)
+        assert mc._ensemble(self.W, times, self.CFG, 0) is batches
+        for start, counts, used in batches:
+            assert counts.dtype == np.uint8 and used.dtype.kind == "u"
+            for a in (counts, used):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
+    def test_ensemble_over_the_cap_is_not_kept(self, monkeypatch):
+        w, times, cfg = self.W, self.TIMES, self.CFG
+        kept = estimate_generating_function(w, -0.6, times, cfg)
+        monkeypatch.setattr(mc, "_last", (None, ()))
+        monkeypatch.setattr(mc, "_KEEP", cfg.n_traj * len(times) - 1)
+        ensembles = self.count_calls(monkeypatch, "_jump_counts")
+        for _ in range(2):
+            assert estimate_generating_function(w, -0.6, times, cfg) == kept
+            assert mc._last == (None, ())
+        assert len(ensembles) == 2 * math.ceil(cfg.n_traj / mc._CHUNK)
 
 
 class TestCoverage:

@@ -55,6 +55,11 @@ class TestJumpProbability:
         with pytest.raises(ValueError):
             jump_probability(EXP1, -1)
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, "2"])
+    def test_non_integral_count_rejected(self, n):
+        with pytest.raises(ValueError, match="jump count must be an integer"):
+            jump_probability(EXP1, n)
+
     def test_counts_are_nonnegative_and_sum_to_one(self):
         # Separated rates: the closed-form coefficients cancel to a noise
         # floor ~ binom(2n,n) 2^n eps, so n <= 10 resolves 1e-7 here and the
