@@ -28,6 +28,7 @@ from .poly_laplace import ExpPolyFunction, evaluate_all
 from .renewal import (
     GeneratingFunction,
     find_extrema,
+    find_zeros,
     generating_function,
     near_zero_mask,
     pole_grid,
@@ -108,6 +109,12 @@ def _auto_window(derivs: list[ExpPolyFunction]) -> float:
             return T
         T *= 1.5
     raise RuntimeError("tail bound did not converge; non-decaying component?")
+
+
+def _checked_window(window: tuple[float, float]) -> tuple[float, float]:
+    if not 0.0 <= window[0] < window[1] < math.inf:
+        raise ValueError("window must satisfy 0 <= t0 < t1 < inf")
+    return window
 
 
 def _positive_variation(
@@ -312,7 +319,7 @@ def blp_measure_numeric(
     """
     dyn = dynamics(ch, w)
     if cfg.window is not None:
-        window = cfg.window
+        window = _checked_window(cfg.window)
         tail = 0.0
     else:
         T = _auto_window([g.derivative for g in dyn.generators])
@@ -346,13 +353,11 @@ class DivisibilityScan:
 
 
 def _singular_times(dyn: ChannelDynamics, upto: float) -> list[float]:
+    """Eigenvalue zeros in (0, upto) by find_zeros, once per distinct eigenvalue
+    (a dephasing map shares one generator between lam_x and lam_y)."""
     zeros = []
-    for g in dyn.generators:
-        if g.value.is_zero() or g.derivative.is_zero():
-            continue
-        zeros.extend(
-            p.t for p in find_extrema(g.value, (0.0, upto)) if p.kind == "zero-crossing"
-        )
+    for g in {g.mu: g for g in dyn.generators if not g.derivative.is_zero()}.values():
+        zeros += find_zeros(g.value, (0.0, upto)).tolist()
     return sorted(zeros)
 
 
@@ -371,6 +376,8 @@ def divisibility_scan(
     """
     t_values = np.asarray(t_values, dtype=float)
     s_values = np.asarray(s_values, dtype=float)
+    if not all(v.size and np.isfinite(v).all() for v in (t_values, s_values)):
+        raise ValueError("scan times and lags must be non-empty and finite")
     dyn = dynamics(ch, w)
     T = float(t_values.max() + s_values.max())
     singular = near_zero_mask(t_values, _singular_times(dyn, T), T)
@@ -393,31 +400,39 @@ def _choi_weights(lam: np.ndarray, lam_later: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _negativity(dyn: ChannelDynamics, s: float, t) -> np.ndarray:
+def _negativity(dyn: ChannelDynamics, s: float, t, signed: bool = False) -> np.ndarray:
     """Choi negativity of the intermediate map from t to t + s, for an array t.
 
     It is inf where some lam_i(t) = 0, an isolated point where the ratios
-    diverge (the arctangent stays bounded there).
+    diverge (the arctangent stays bounded there).  If signed, minus the smallest
+    positive weight replaces a zero negativity, smooth where a weight turns negative.
     """
     t = np.asarray(t, dtype=float)
-    lam = dyn.lambdas(t)
-    mu = _choi_weights(lam, dyn.lambdas(t + s))
+    lam, later = np.moveaxis(dyn.lambdas(np.stack([t, t + s])), 1, 0)
+    mu = _choi_weights(lam, later)
     with np.errstate(invalid="ignore"):
-        neg = -np.minimum(mu, 0.0, out=mu).sum(axis=0)
+        neg = -np.minimum(mu, 0.0).sum(axis=0)
+        if signed:
+            neg = np.where(neg > 0.0, neg, -np.where(mu > 0.0, mu, np.inf).min(axis=0))
     return np.where(np.any(lam == 0.0, axis=0), np.inf, neg)
 
 
 def _violation_intervals(
     dyn: ChannelDynamics, s_offset: float, window: tuple[float, float]
 ) -> list[tuple[float, float]]:
-    """Subintervals where the intermediate map fails complete positivity."""
+    """Subintervals where the intermediate map fails complete positivity.
+
+    Boundaries are refined on the signed negativity: the total negativity is
+    flat outside the region and kinked at its edge, where regula falsi stalls.
+    """
     t0, t1 = window
     grid = pole_grid([g.value for g in dyn.generators], window, 400)
     floor = 1e-12  # rounding noise of an exactly CP cell
     inside = _negativity(dyn, s_offset, grid) > floor
     i = np.flatnonzero(inside[:-1] != inside[1:])
     cross = refine_brackets(
-        lambda t: _negativity(dyn, s_offset, t) - floor, grid[i], grid[i + 1], 1e-12
+        lambda t: _negativity(dyn, s_offset, t, signed=True) - floor,
+        grid[i], grid[i + 1], 1e-12,
     )
     marks = [t0] + sorted(float(x) for x in cross) + [t1]
     mids = 0.5 * (np.array(marks[:-1]) + np.array(marks[1:]))
@@ -495,16 +510,16 @@ def _fixed_lag_setup(
     """Dynamics, lag and window of the fixed-lag divisibility measures.
 
     The lag defaults to 1e-3 divided by the rate scale; a given lag must be
-    positive, since a zero lag makes every intermediate map the identity.
+    positive (a zero lag makes every intermediate map the identity) and finite.
     """
     if s_offset is None:
         s_offset = 1e-3 / max(w.rates)
-    elif not s_offset > 0:
-        raise ValueError("lag must be positive")
+    elif not 0.0 < s_offset < math.inf:
+        raise ValueError("lag must be positive and finite")
     dyn = dynamics(ch, w)
     if window is None:
         window = (0.0, _auto_window([g.derivative for g in dyn.generators]))
-    return dyn, s_offset, window
+    return dyn, s_offset, _checked_window(window)
 
 
 def hou_measure(
@@ -526,7 +541,9 @@ def hou_measure(
     if not intervals:
         return MeasureResult(0.0, (), "rhp-hou", note=f"s_offset={s_offset:g}")
     zeros = _singular_times(dyn, window[1] + s_offset)
-    pieces = [np.unique([a, b] + [z for z in zeros if a < z < b]) for a, b in intervals]
+    pieces = [
+        np.array(sorted({a, b, *(z for z in zeros if a < z < b)})) for a, b in intervals
+    ]
     vals, errs = _gauss_kronrod(
         lambda t: np.arctan(_negativity(dyn, s_offset, t)), pieces
     )

@@ -37,6 +37,7 @@ __all__ = [
     "generating_function",
     "series_backend",
     "find_extrema",
+    "find_zeros",
     "near_zero_mask",
     "pole_grid",
     "sign_brackets",
@@ -233,6 +234,8 @@ def pole_grid(
     """Uniform grid over the window with at least n_min steps, each at most
     1/20 of every decay time 1/|Re p| and half period pi/|Im p| of the fs."""
     t0, t1 = window
+    if not t1 > t0:
+        raise ValueError("window must have positive length")
     steps = [(t1 - t0) / n_min]
     for p in [p for f in fs for p in f.poles]:
         if abs(p.imag) > 1e-12:
@@ -304,12 +307,10 @@ def find_extrema(
     minima.
     """
     t0, T = window
-    if T <= t0:
-        raise ValueError("window must have positive length")
+    grid = pole_grid([f], window, 100)
     df = f.differentiate()
     if df.is_zero():
         return []
-    grid = pole_grid([f], window, 100)
     fv, dv = f(grid), df(grid)
     scale = float(np.max(np.abs(fv))) or 1.0
     i, j = sign_brackets(dv, df.envelope(grid))
@@ -327,12 +328,19 @@ def find_extrema(
                 cv = f(min(t_star + h, T)) - 2.0 * val + f(max(t_star - h, t0))
             kind = "max" if val * cv < 0 else "min"
         points.append(ExtremumPoint(float(t_star), float(val), kind))
-    i, j = sign_brackets(fv, f.envelope(grid))
-    for t_zero in refine_brackets(f, grid[i], grid[j], xtol=1e-14):
-        if t0 < t_zero < T:
-            points.append(ExtremumPoint(float(t_zero), 0.0, "zero-crossing"))
+    zeros = find_zeros(f, window, fv)
+    points += [ExtremumPoint(float(z), 0.0, "zero-crossing") for z in zeros]
     points.sort(key=lambda p: p.t)
     return points
+
+
+def find_zeros(f: ExpPolyFunction, window: tuple[float, float], fv=None):
+    """Sign changes of f inside the window, the zero crossings of find_extrema
+    without its extrema; fv may hold the values of f on their shared grid."""
+    grid = pole_grid([f], window, 100)
+    i, j = sign_brackets(f(grid) if fv is None else fv, f.envelope(grid))
+    z = refine_brackets(f, grid[i], grid[j], xtol=1e-14)
+    return z[(grid[0] < z) & (z < grid[-1])]
 
 
 def near_zero_mask(times, zeros, horizon: float) -> np.ndarray:

@@ -355,3 +355,41 @@ class TestDeterminismAndOutput:
         doc = json.loads(out)
         assert doc["tool"] == "smqdyn"
         assert doc["config"]["mode"] == "qr"
+
+
+class TestMeasureWindowValidation:
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--window", "0"], "window must satisfy"),
+            (["--window", "inf"], "window must satisfy"),
+            (["--window", "-2"], "window must satisfy"),
+            (["--s-offset", "inf"], "lag must be positive"),
+            (["--s-offset", "nan"], "lag must be positive"),
+        ],
+    )
+    def test_bad_window_or_lag_is_a_spec_error(self, extra, message, capsys):
+        argv = ["measures", "--channel", "ep", "--wtd", "conv:1,0.14"] + extra
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [["--t-points", "0"], ["--tmax", "nan"]])
+    def test_empty_or_nan_scan_is_a_spec_error(self, extra, capsys):
+        argv = ["choiscan", "--channel", "ep", "--wtd", "conv:1,0.14"] + extra
+        assert main(argv) == 2
+        assert "non-empty and finite" in capsys.readouterr().err
+
+    def test_measures_do_not_import_numpy_ma(self, tmp_path):
+        out = tmp_path / "m.json"
+        code = (
+            "import sys; from smqdyn.cli import main; "
+            "code = main(['measures', '--channel', 'phaseflip', '--wtd', 'erlang:2:1', "
+            f"'--out', {str(out)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.split() == ["0", "False"]
+        assert json.loads(out.read_text())["measures"]["hou"]["value"] > 0.0

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from smqdyn import nonmarkov
 from smqdyn.nonmarkov import (
     _G7_WEIGHTS,
     _GK_NODES,
@@ -35,7 +36,7 @@ from smqdyn.qubit import (
     evolve_state,
     map_snapshot,
 )
-from smqdyn.renewal import even_odd_difference
+from smqdyn.renewal import even_odd_difference, find_extrema, pole_grid, refine_brackets
 from smqdyn.waiting_time import HypoExpWTD
 
 from oracles import two_stage_parity
@@ -548,3 +549,146 @@ class TestVectorisedMeasurePaths:
             assert len(res.contributions) == count
             if res.contributions:
                 assert "quad_err=" in res.note
+
+
+def _reference_violation_intervals(dyn, s, window):
+    """Reference: _violation_intervals refining the total negativity itself,
+    as it did before the signed negativity; brackets and midpoints are the same."""
+    t0, t1 = window
+    grid = pole_grid([g.value for g in dyn.generators], window, 400)
+    floor = 1e-12
+    inside = _negativity(dyn, s, grid) > floor
+    i = np.flatnonzero(inside[:-1] != inside[1:])
+    cross = refine_brackets(
+        lambda t: _negativity(dyn, s, t) - floor, grid[i], grid[i + 1], 1e-12
+    )
+    marks = [t0] + sorted(float(x) for x in cross) + [t1]
+    mids = 0.5 * (np.array(marks[:-1]) + np.array(marks[1:]))
+    out = []
+    for a, b, bad in zip(marks[:-1], marks[1:], _negativity(dyn, s, mids) > floor):
+        if bad and out and abs(out[-1][1] - a) < 1e-12:
+            out[-1] = (out[-1][0], b)
+        elif bad:
+            out.append((a, b))
+    return out
+
+
+FIXED_LAG_CASES = {
+    **DIAGNOSTIC_SHAPES,
+    **{f"scan-{k}": (ch, w) for k, (ch, w, _, _) in enumerate(SCAN_CASES)},
+}
+
+
+def _seeded_channel(seed):
+    """A random Pauli channel on a two-stage or Erlang waiting time."""
+    rng = np.random.default_rng(seed)
+    ch = PauliChannel(rng.dirichlet(np.ones(4)).tolist())
+    rate = float(rng.uniform(0.5, 2.0))
+    if seed % 3 == 0:
+        return ch, HypoExpWTD.erlang(int(rng.integers(2, 5)), rate)
+    return ch, HypoExpWTD([rate, rate * float(rng.uniform(0.1, 0.6))])
+
+
+class TestFixedLagSearch:
+    @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES))
+    def test_signed_refinement_matches_total_negativity_refinement(self, case):
+        ch, w = FIXED_LAG_CASES[case]
+        dyn = dynamics(ch, w)
+        s, window = 1e-3 / max(w.rates), _window(dyn)
+        got = _violation_intervals(dyn, s, window)
+        ref = _reference_violation_intervals(dyn, s, window)
+        assert len(got) == len(ref)
+        ends = np.array(got).ravel()
+        # Within 1e-9, widened by the rounding band of a Choi weight (1e-15)
+        # over the slope: at the onset of the ep violations near t = 0.007 the
+        # slope is about 1e-9 and any root within 1e-6 is as good as another.
+        lo, hi = np.maximum(ends - 1e-7, 0.0), ends + 1e-7
+        slope = (
+            _negativity(dyn, s, hi, signed=True) - _negativity(dyn, s, lo, signed=True)
+        ) / (hi - lo)
+        tol = 1e-9 + 1e-15 / np.abs(slope)
+        assert np.all(np.abs(ends - np.array(ref).ravel()) <= tol)
+
+    @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES) + ["exact-zero"])
+    def test_signed_negativity_has_the_sign_of_the_negativity(self, case):
+        floor = 1e-12
+        if case == "exact-zero":
+            dyn, s, ts = _ExactZeroDynamics(), 0.3, np.linspace(0.0, 2.0, 4001)
+        else:
+            ch, w = FIXED_LAG_CASES[case]
+            dyn = dynamics(ch, w)
+            s, window = 1e-3 / max(w.rates), _window(dyn)
+            zeros = _singular_times(dyn, window[1] + s)
+            near = np.array(zeros)[:, None] + np.array([-1e-9, 0.0, 1e-9])
+            ts = np.sort(np.concatenate([np.linspace(*window, 20001), near.ravel()]))
+        signed = _negativity(dyn, s, ts, signed=True)
+        total = _negativity(dyn, s, ts)
+        assert np.array_equal(np.sign(signed - floor), np.sign(total - floor))
+        assert np.array_equal(signed[total > 0], total[total > 0])
+        assert np.all(signed[total == 0] < 0)
+
+    def test_violation_search_evaluation_budget(self, monkeypatch):
+        # Refining the total negativity took 110 calls here.
+        ch, w = DIAGNOSTIC_SHAPES["phaseflip/conv:1,0.3"]
+        dyn = dynamics(ch, w)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return _negativity(*args, **kwargs)
+
+        monkeypatch.setattr(nonmarkov, "_negativity", counted)
+        intervals = _violation_intervals(dyn, 1e-3 / max(w.rates), _window(dyn))
+        assert len(intervals) == RECORDED_MEASURES["phaseflip/conv:1,0.3"][1][1]
+        assert len(calls) <= 40
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_singular_times_are_the_distinct_extrema_zero_crossings(self, seed):
+        dyn = dynamics(*_seeded_channel(seed))
+        upto = _window(dyn)[1]
+        ref = {
+            p.t
+            for g in dyn.generators
+            if not g.derivative.is_zero()
+            for p in find_extrema(g.value, (0.0, upto))
+            if p.kind == "zero-crossing"
+        }
+        assert _singular_times(dyn, upto) == sorted(ref)
+
+    def test_shared_generator_zeros_listed_once(self):
+        zeros = _singular_times(dynamics(PHASEFLIP, ERLANG2), 7.0)
+        assert zeros == pytest.approx([3 * math.pi / 4, 7 * math.pi / 4], abs=1e-10)
+
+
+class TestFixedLagValidation:
+    @pytest.mark.parametrize(
+        "window", [(5.0, 1.0), (0.0, 0.0), (0.0, math.inf), (-1.0, 2.0), (0.0, math.nan)]
+    )
+    @pytest.mark.parametrize("measure", [hou_measure, rhp_divisibility_measure])
+    def test_bad_window_rejected_by_both_measures(self, measure, window):
+        with pytest.raises(ValueError, match="window must satisfy"):
+            measure(EXCHANGE, HypoExpWTD([1.0, 0.14]), window=window)
+
+    @pytest.mark.parametrize("lag", [math.inf, math.nan])
+    @pytest.mark.parametrize("measure", [hou_measure, rhp_divisibility_measure])
+    def test_nonfinite_lag_rejected_by_both_measures(self, measure, lag):
+        with pytest.raises(ValueError, match="lag must be positive"):
+            measure(EXCHANGE, HypoExpWTD([1.0, 0.14]), s_offset=lag)
+
+    @pytest.mark.parametrize("window", [(0.0, 0.0), (0.0, math.inf), (3.0, 2.0)])
+    def test_bad_window_rejected_by_pair_search(self, window):
+        with pytest.raises(ValueError, match="window must satisfy"):
+            blp_measure_numeric(PHASEFLIP, ERLANG2, PairSearchConfig(window=window))
+
+    @pytest.mark.parametrize(
+        "t_values, s_values",
+        [
+            ([], [0.5]),
+            ([1.0], []),
+            ([0.0, math.nan], [0.5]),
+            ([1.0], [0.5, math.inf]),
+        ],
+    )
+    def test_scan_needs_nonempty_finite_times(self, t_values, s_values):
+        with pytest.raises(ValueError, match="non-empty and finite"):
+            divisibility_scan(PHASEFLIP, ERLANG2, np.array(t_values), np.array(s_values))
