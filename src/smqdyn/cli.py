@@ -318,9 +318,7 @@ def cmd_measures(args) -> int:
     wtd = parse_wtd_spec(args.wtd)
     scale = wtd.rate_scale
     window = None if args.window is None else (0.0, args.window / scale)
-    numeric = blp_measure_numeric(
-        ch, wtd, PairSearchConfig(n_directions=args.directions, window=window)
-    )
+    numeric = blp_measure_numeric(ch, wtd, PairSearchConfig(window=window))
     s_offset = None if args.s_offset is None else args.s_offset / scale
     hou = hou_measure(ch, wtd, s_offset=s_offset, window=window)
     rhp = rhp_divisibility_measure(ch, wtd, s_offset=s_offset, window=window)
@@ -421,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wtd", required=True)
     p.add_argument("--window", type=float, default=None, help="scan horizon in rate*t")
     p.add_argument("--s-offset", type=float, default=None)
-    p.add_argument("--directions", type=int, default=32)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_measures)
 

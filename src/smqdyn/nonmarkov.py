@@ -5,7 +5,7 @@ Witnesses and measures implemented here:
 * trace-distance trajectories and their growth intervals (information
   backflow), with the measure given by the total rise of the distance over
   all growth intervals, maximized over antipodal pure-state pairs along the
-  three axes and a Fibonacci grid of directions;
+  three axes;
 * complete-positivity of the intermediate maps via the sign of the smallest
   Pauli-conjugation weight (divisibility criterion), including the fixed-lag
   scan, the unnormalized divergence-prone measure, and the arctangent
@@ -20,20 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .poly_laplace import ExpPolyFunction, evaluate_all
+from .poly_laplace import ExpPolyFunction
 from .renewal import (
-    GeneratingFunction,
     find_extrema,
     find_zeros,
     generating_function,
     near_zero_mask,
     pole_grid,
     refine_brackets,
-    sign_brackets,
 )
 from .qubit import (
     PAULI_TRANSFORM,
@@ -176,17 +173,20 @@ def distinguishability_trace(
     """Trace distance D(t) and its derivative on 2000 uniform times, and the
     growth intervals.
 
-    D(t) = sqrt(sum_i lam_i(t)^2 dr_i^2)/2 with dr the initial Bloch
-    difference; the derivative sign is that of sum_i lam_i lam_i' dr_i^2, and
-    interval endpoints are refined by root bracketing on that expression.
+    D(t) = sqrt(S(t))/2 with S = sum_i lam_i(t)^2 dr_i^2 and dr the initial
+    Bloch difference.  S is itself an exp-polynomial, and D grows exactly where
+    S does: the growth intervals are the rising runs of _positive_variation(S).
     """
     dr = r1.bloch - r2.bloch
     if float(np.linalg.norm(dr)) < 1e-12:
         raise ValueError("state pair is degenerate")
     weights = dr**2
     dyn = dynamics(ch, w)
-    samples = _PairSamples(dyn.generators, window)
-    intervals = samples.growth_intervals(weights[None])[0]
+    s_w = ExpPolyFunction.zero()
+    for wt, g in zip(weights, dyn.generators):
+        if wt:
+            s_w += (g.value * g.value) * float(wt)
+    _, rises = _positive_variation(s_w, window)
     times = np.linspace(window[0], window[1], 2000)
     lam = dyn.lambdas(times)
     dlam = dyn.lambda_dots(times)
@@ -195,91 +195,7 @@ def distinguishability_trace(
     D = 0.5 * np.sqrt(S)
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma = np.where(S > 0, N / (2.0 * np.sqrt(S)), 0.0)
-    return DistinguishabilityTrace(times, D, sigma, tuple(intervals))
-
-
-class _PairSamples:
-    """lam_i lam_i' on one grid fine enough for every generator, taken once.
-
-    The distance of the pair with squared Bloch-difference weights w grows
-    where N = sum_i w_i lam_i lam_i' > 0, so every direction scores on these
-    samples with one matrix-vector product.
-    """
-
-    def __init__(
-        self, gens: Sequence[GeneratingFunction], window: tuple[float, float]
-    ):
-        self.values = [g.value for g in gens]
-        self.functions = self.values + [g.derivative for g in gens]
-        self.window = window
-        self.grid = pole_grid(self.values, window, 200)
-        self.prod = self._prod(self.grid)
-        self.env = np.abs(self.prod)
-
-    def _prod(self, t: np.ndarray) -> np.ndarray:
-        lam, dlam = np.split(evaluate_all(self.functions, t), 2)
-        return lam * dlam
-
-    def _n_env(self, weights: np.ndarray, t: np.ndarray):
-        # N and its envelope sum_i w_i |lam_i lam_i'| at t[k] for weights[k].
-        prod = self._prod(t)
-        return (
-            np.einsum("ki,ik->k", weights, prod),
-            np.einsum("ki,ik->k", weights, np.abs(prod)),
-        )
-
-    def growth_intervals(self, weights: np.ndarray) -> list[list[tuple[float, float]]]:
-        """Maximal intervals where N > 0, one list per row of weights."""
-        t0, t1 = self.window
-        # Rounding floor relative to the local term magnitudes, so that genuine
-        # sign structure deep in the exponential tail is still resolved while a
-        # monotone case produces no phantom intervals.  Points whose envelope is
-        # itself rounding-level (a flat start, or far past every decay scale)
-        # carry no sign information at all.
-        floors, lo, hi, rows = [], [], [], []
-        for k, w in enumerate(weights):  # row by row bounds the temporaries
-            env = w @ self.env
-            floors.append(1e-15 * (float(env.max()) or 1.0))
-            i, j = sign_brackets(np.where(env > floors[k], w @ self.prod, 0.0), env)
-            lo.append(self.grid[i])
-            hi.append(self.grid[j])
-            rows += [k] * len(i)
-        roots = refine_brackets(
-            lambda t: self._n_env(weights[rows], t)[0],
-            np.concatenate(lo),
-            np.concatenate(hi),
-            xtol=1e-13,
-        )
-        marks = [[t0] for _ in weights]
-        for k, r in zip(rows, roots):
-            marks[k].append(float(r))
-        segments = [
-            (k, a, b)
-            for k, m in enumerate(marks)
-            for a, b in zip(m, m[1:] + [t1])
-            if b - a > 1e-9 * (t1 - t0)
-        ]
-        ks = [k for k, _, _ in segments]
-        mids = np.array([0.5 * (a + b) for _, a, b in segments])
-        num, mid_env = self._n_env(weights[ks], mids)
-        grows = (mid_env > np.array(floors)[ks]) & (num > 1e-12 * mid_env)
-        out: list[list[tuple[float, float]]] = [[] for _ in weights]
-        for (k, a, b), up in zip(segments, grows):
-            if up:
-                _append_merged(out[k], a, b)
-        return out
-
-    def measures(self, weights: np.ndarray) -> list[tuple[float, list]]:
-        """Total rise of the distance and its contributions, per row of weights."""
-        intervals = self.growth_intervals(weights)
-        rows = [k for k, ivs in enumerate(intervals) for _ in ivs]
-        flat = [ab for ivs in intervals for ab in ivs]
-        lam = evaluate_all(self.values, np.array(flat).reshape(-1, 2))
-        dist = np.sqrt(np.einsum("ki,ikj->kj", weights[rows], lam**2))
-        contribs: list[list] = [[] for _ in weights]
-        for k, ab, (da, db) in zip(rows, flat, dist):
-            contribs[k].append((ab, float(db - da)))
-        return [(sum(c for _, c in cs), cs) for cs in contribs]
+    return DistinguishabilityTrace(times, D, sigma, tuple(ab for ab, _ in rises))
 
 
 def _append_merged(out: list[tuple[float, float]], a: float, b: float) -> None:
@@ -292,17 +208,14 @@ def _append_merged(out: list[tuple[float, float]], a: float, b: float) -> None:
 
 @dataclass(frozen=True)
 class PairSearchConfig:
+    """Options of blp_measure_numeric: the window (default: the auto-window).
+
+    n_directions is accepted and ignored, since the measure scores the axes
+    only; it stays while the benchmark workload still passes it.
+    """
+
     n_directions: int = 64
     window: tuple[float, float] | None = None
-
-
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    k = np.arange(n) + 0.5
-    phi = np.arccos(1.0 - 2.0 * k / n)
-    theta = np.pi * (1.0 + 5.0**0.5) * k
-    return np.column_stack(
-        [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
-    )
 
 
 def blp_measure_numeric(
@@ -310,31 +223,30 @@ def blp_measure_numeric(
     w: HypoExpWTD,
     cfg: PairSearchConfig = PairSearchConfig(),
 ) -> MeasureResult:
-    """Trace-distance measure maximized over antipodal pure-state pairs.
+    """Trace-distance measure maximized over the antipodal pairs on the axes.
 
-    The pair +/-n gives D(t) = sqrt(sum_i lam_i(t)^2 n_i^2); interior pairs
-    are dominated, so the search runs over Bloch directions: the three axes
-    exactly and a Fibonacci grid, all scored on one set of samples of lam_i
-    and lam_i'.  The best candidate is returned as it is.
+    The pair +/-e_i has distance |lam_i(t)|, so axis i scores the exact
+    positive variation of lam_i, once per distinct eigenvalue; the first axis
+    wins a tie.  Optimal pairs are antipodal (Wissmann et al., PRA 86, 062108
+    (2012)); that no pair off the axes beats the best axis is a conjecture,
+    which the tests check on lattices of directions.
     """
     dyn = dynamics(ch, w)
+    derivs = [g.derivative for g in dyn.generators]
     if cfg.window is not None:
-        window = _checked_window(cfg.window)
-        tail = 0.0
+        window, tail = _checked_window(cfg.window), 0.0
     else:
-        T = _auto_window([g.derivative for g in dyn.generators])
-        window = (0.0, T)
-        tail = sum(g.derivative.tail_envelope_integral(T) for g in dyn.generators)
-    samples = _PairSamples(dyn.generators, window)
-    candidates = np.vstack([np.eye(3), _fibonacci_sphere(cfg.n_directions)])
-    scored = samples.measures(candidates**2)
-    best = max(range(len(scored)), key=lambda k: scored[k][0])
-    best_val, best_contribs = scored[best]
+        T = _auto_window(derivs)
+        window, tail = (0.0, T), sum(d.tail_envelope_integral(T) for d in derivs)
+    distinct = {g.mu: g.value for g in dyn.generators}
+    scored = {mu: _positive_variation(f, window) for mu, f in distinct.items()}
+    axis = max(range(3), key=lambda i: scored[dyn.generators[i].mu][0])
+    value, contributions = scored[dyn.generators[axis].mu]
     return MeasureResult(
-        best_val,
-        tuple(best_contribs),
+        value,
+        tuple(contributions),
         "blp-numeric",
-        direction=tuple(float(x) for x in candidates[best]),
+        direction=tuple(float(x) for x in np.eye(3)[axis]),
         tail_bound=tail,
     )
 
@@ -352,12 +264,12 @@ class DivisibilityScan:
         return len(self.negative_cells) > 0
 
 
-def _singular_times(dyn: ChannelDynamics, upto: float) -> list[float]:
-    """Eigenvalue zeros in (0, upto) by find_zeros, once per distinct eigenvalue
-    (a dephasing map shares one generator between lam_x and lam_y)."""
+def _singular_times(dyn: ChannelDynamics, window: tuple[float, float]) -> list[float]:
+    """Eigenvalue zeros inside the window by find_zeros, once per distinct
+    eigenvalue (a dephasing map shares one generator between lam_x and lam_y)."""
     zeros = []
     for g in {g.mu: g for g in dyn.generators if not g.derivative.is_zero()}.values():
-        zeros += find_zeros(g.value, (0.0, upto)).tolist()
+        zeros += find_zeros(g.value, window).tolist()
     return sorted(zeros)
 
 
@@ -380,7 +292,7 @@ def divisibility_scan(
         raise ValueError("scan times and lags must be non-empty and finite")
     dyn = dynamics(ch, w)
     T = float(t_values.max() + s_values.max())
-    singular = near_zero_mask(t_values, _singular_times(dyn, T), T)
+    singular = near_zero_mask(t_values, _singular_times(dyn, (0.0, T)), T)
     lam_t = dyn.lambdas(t_values)[:, :, None]  # (3, nt, 1)
     lam_ts = dyn.lambdas(t_values[:, None] + s_values[None, :])
     min_comp = _choi_weights(lam_t, lam_ts).min(axis=0)
@@ -540,7 +452,7 @@ def hou_measure(
     intervals = _violation_intervals(dyn, s_offset, window)
     if not intervals:
         return MeasureResult(0.0, (), "rhp-hou", note=f"s_offset={s_offset:g}")
-    zeros = _singular_times(dyn, window[1] + s_offset)
+    zeros = _singular_times(dyn, (window[0], window[1] + s_offset))
     pieces = [
         np.array(sorted({a, b, *(z for z in zeros if a < z < b)})) for a, b in intervals
     ]
@@ -569,7 +481,7 @@ def rhp_divisibility_measure(
     the window, because the intermediate-map ratios blow up there.
     """
     dyn, s_offset, window = _fixed_lag_setup(ch, w, s_offset, window)
-    zeros = _singular_times(dyn, window[1])
+    zeros = _singular_times(dyn, window)
     if zeros:
         return MeasureResult(
             math.inf,

@@ -265,9 +265,16 @@ class ExpPolyFunction:
     def __sub__(self, other: "ExpPolyFunction") -> "ExpPolyFunction":
         return self + (-1.0) * other
 
-    def __mul__(self, scalar) -> "ExpPolyFunction":
+    def __mul__(self, other) -> "ExpPolyFunction":
+        """Product with a scalar, or with another ExpPolyFunction: poles add
+        and the t-power coefficients convolve."""
+        if isinstance(other, ExpPolyFunction):
+            return ExpPolyFunction(
+                [(p + q, np.convolve(a, b))
+                 for p, a in self.terms for q, b in other.terms]
+            )
         return ExpPolyFunction(
-            [(p, [c * scalar for c in cs]) for p, cs in self.terms]
+            [(p, [c * other for c in cs]) for p, cs in self.terms]
         )
 
     __rmul__ = __mul__
@@ -281,27 +288,6 @@ class ExpPolyFunction:
 
     def is_zero(self) -> bool:
         return all(c == 0 for _, cs in self.terms for c in cs)
-
-    def to_rational(self) -> RationalLaplace:
-        """Laplace transform: c t^k e^{pt} -> c k!/(u-p)^{k+1}."""
-        num = Polynomial([0.0])
-        den = Polynomial([1.0])
-        for pole, coeffs in self.terms:
-            factor = Polynomial([-pole, 1.0])
-            block_den = Polynomial([1.0])
-            for _ in range(len(coeffs)):
-                block_den = block_den * factor
-            block_num = Polynomial([0.0])
-            partial = Polynomial([1.0])  # (u-p)^(m-1-k) built downward
-            for k in range(len(coeffs) - 1, -1, -1):
-                c = coeffs[k]
-                block_num = block_num + (c * math.factorial(k)) * partial
-                partial = partial * factor
-            num = num * block_den + block_num * den
-            den = den * block_den
-        return RationalLaplace(num, den, den_roots=tuple(
-            (p, len(cs)) for p, cs in self.terms
-        ))
 
     def envelope(self, t):
         """Coefficient-absolute bound sum |c_k| t^k e^{Re p t} at time(s) t."""

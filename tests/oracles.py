@@ -127,3 +127,26 @@ def erlang_phase_type_generating_function(m: int, lam: float, mu: float, ts):
     q = lam * (np.eye(m, k=1) - np.eye(m))
     q[m - 1, 0] += lam * mu
     return np.array([expm(t * q)[0].sum() for t in ts])
+
+
+def to_rational(f):
+    """Laplace transform of an ExpPolyFunction: c t^k e^{pt} -> c k!/(u-p)^{k+1}."""
+    from smqdyn.poly_laplace import Polynomial, RationalLaplace
+
+    num = Polynomial([0.0])
+    den = Polynomial([1.0])
+    for pole, coeffs in f.terms:
+        factor = Polynomial([-pole, 1.0])
+        block_den = Polynomial([1.0])
+        for _ in range(len(coeffs)):
+            block_den = block_den * factor
+        block_num = Polynomial([0.0])
+        partial = Polynomial([1.0])  # (u-p)^(m-1-k) built downward
+        for k in range(len(coeffs) - 1, -1, -1):
+            block_num = block_num + (coeffs[k] * math.factorial(k)) * partial
+            partial = partial * factor
+        num = num * block_den + block_num * den
+        den = den * block_den
+    return RationalLaplace(
+        num, den, den_roots=tuple((p, len(cs)) for p, cs in f.terms)
+    )

@@ -324,7 +324,7 @@ class TestDeterminismAndOutput:
         argv = ["measures", "--channel", "mix:0.8", "--wtd", "exp:1"]
         _, out = run(argv, capsys)
         assert json.loads(out)["config"] == {
-            "channel": "mix:0.8", "command": "measures", "directions": 32,
+            "channel": "mix:0.8", "command": "measures",
             "s_offset": None, "window": None, "wtd": "exp:1",
         }
         assert main(argv + ["--seed", "0"]) == 2
