@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .poly_laplace import ExpPolyFunction
-from .renewal import even_odd_difference, find_extrema, near_zero_mask
+from .renewal import CP_FLOOR, even_odd_difference, find_zeros, near_zero_mask, runs
 from .waiting_time import HypoExpWTD
 
 __all__ = [
@@ -239,7 +239,7 @@ def witness_contractivity(
     by more than 1e-12 from one grid time to the next.
 
     For both closed-form specs the distance is |h(t)| |p1_1(0) - p2_1(0)| with
-    h the mixing function, evaluated here through the propagator itself.
+    h the mixing function, read here directly (the propagator applies the same h).
     """
     times = np.asarray(times, dtype=float)
     h = _mixing_function(spec)
@@ -249,10 +249,8 @@ def witness_contractivity(
     for p1, p2 in pairs:
         dk = hv * kolmogorov_distance(p1, p2)
         dists.append(dk)
-        rising = np.concatenate(([False], dk[1:] > dk[:-1] + 1e-12, [False]))
-        edges = np.flatnonzero(np.diff(rising.astype(np.int8)))
-        starts, ends = times[edges[::2]].tolist(), times[edges[1::2]].tolist()
-        all_intervals.append(tuple(zip(starts, ends)))
+        starts, ends = runs(dk[1:] > dk[:-1] + 1e-12)
+        all_intervals.append(tuple(zip(times[starts].tolist(), times[ends].tolist())))
     return ContractivityReport(times, np.array(dists), tuple(all_intervals))
 
 
@@ -267,7 +265,7 @@ class DivisibilityReport:
 
 def witness_divisibility(spec: SemiMarkovSpec, times: np.ndarray) -> DivisibilityReport:
     """Checks the intermediate matrices T(t, s) for stochasticity on a grid;
-    an entry below -1e-10 is a violation.
+    an entry below -CP_FLOOR is a violation.
 
     Grid points s within 1e-6*T of a zero of the mixing function are flagged
     singular (the propagator inverse does not exist there) and skipped.
@@ -275,19 +273,14 @@ def witness_divisibility(spec: SemiMarkovSpec, times: np.ndarray) -> Divisibilit
     times = np.asarray(times, dtype=float)
     T_max = float(times[-1])
     h = _mixing_function(spec)
-    zeros = [
-        p.t
-        for p in find_extrema(h, (0.0, T_max + 1e-9))
-        if p.kind == "zero-crossing"
-    ]
-    singular = near_zero_mask(times, zeros, T_max)
+    singular = near_zero_mask(times, find_zeros(h, (0.0, T_max + 1e-9)), T_max)
     hv = h(times)
     n = len(times)
     rows = np.flatnonzero(~singular)
     upper = np.arange(n) >= rows[:, None]
     ratio = np.divide(hv, hv[rows, None], out=np.zeros(upper.shape), where=upper)
     lo = 0.5 * (1.0 - np.abs(ratio))
-    bad = lo < -1e-10
+    bad = lo < -CP_FLOOR
     stochastic = np.ones((n, n), dtype=bool)
     stochastic[rows] = ~bad
     i, j = np.nonzero(bad)

@@ -41,6 +41,7 @@ from .nonmarkov import (
 from .poly_laplace import RootConvergenceError
 from .qubit import PauliChannel, QubitState
 from .renewal import (
+    CP_FLOOR,
     SeriesTruncationError,
     even_odd_difference,
     find_extrema,
@@ -300,7 +301,7 @@ def cmd_choi_scan(args) -> int:
                 rows.append([_fmt(t), _fmt(s), "", 0, 1])
             else:
                 v = scan.min_component[i, j]
-                rows.append([_fmt(t), _fmt(s), _fmt(v), -1 if v < -1e-12 else 1, 0])
+                rows.append([_fmt(t), _fmt(s), _fmt(v), -1 if v < -CP_FLOOR else 1, 0])
     _emit_table(args, ["t", "s", "min_component", "sign", "singular"], rows)
     return EXIT_OK
 

@@ -25,12 +25,14 @@ import numpy as np
 
 from .poly_laplace import ExpPolyFunction
 from .renewal import (
+    CP_FLOOR,
     find_extrema,
     find_zeros,
     generating_function,
     near_zero_mask,
     pole_grid,
     refine_brackets,
+    runs,
 )
 from .qubit import (
     PAULI_TRANSFORM,
@@ -124,23 +126,9 @@ def _positive_variation(
     """
     t0, t1 = window
     crit = [t0] + [p.t for p in find_extrema(f, window)] + [t1]
-    vals = [abs(f(t)) for t in crit]
-    contributions = []
-    run_start = None
-    run_gain = 0.0
-    for i in range(len(crit) - 1):
-        gain = vals[i + 1] - vals[i]
-        if gain > 0.0:
-            if run_start is None:
-                run_start = crit[i]
-                run_gain = 0.0
-            run_gain += gain
-        else:
-            if run_start is not None:
-                contributions.append(((run_start, crit[i]), run_gain))
-                run_start = None
-    if run_start is not None:
-        contributions.append(((run_start, crit[-1]), run_gain))
+    gains = np.diff([abs(f(t)) for t in crit])
+    spans = zip(*runs(gains > 0.0))
+    contributions = [((crit[a], crit[b]), sum(gains[a:b].tolist())) for a, b in spans]
     return sum(c for _, c in contributions), contributions
 
 
@@ -196,14 +184,6 @@ def distinguishability_trace(
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma = np.where(S > 0, N / (2.0 * np.sqrt(S)), 0.0)
     return DistinguishabilityTrace(times, D, sigma, tuple(ab for ab, _ in rises))
-
-
-def _append_merged(out: list[tuple[float, float]], a: float, b: float) -> None:
-    # Adjacent intervals (sharing an endpoint) are one interval.
-    if out and abs(out[-1][1] - a) < 1e-12:
-        out[-1] = (out[-1][0], b)
-    else:
-        out.append((a, b))
 
 
 @dataclass(frozen=True)
@@ -297,7 +277,7 @@ def divisibility_scan(
     lam_ts = dyn.lambdas(t_values[:, None] + s_values[None, :])
     min_comp = _choi_weights(lam_t, lam_ts).min(axis=0)
     min_comp[singular, :] = np.nan
-    i, j = np.nonzero(min_comp < -1e-12)  # row-major: t, then s
+    i, j = np.nonzero(min_comp < -CP_FLOOR)  # row-major: t, then s
     cells = zip(t_values[i].tolist(), s_values[j].tolist(), min_comp[i, j].tolist())
     return DivisibilityScan(t_values, s_values, min_comp, singular, tuple(cells))
 
@@ -339,21 +319,16 @@ def _violation_intervals(
     """
     t0, t1 = window
     grid = pole_grid([g.value for g in dyn.generators], window, 400)
-    floor = 1e-12  # rounding noise of an exactly CP cell
-    inside = _negativity(dyn, s_offset, grid) > floor
+    inside = _negativity(dyn, s_offset, grid) > CP_FLOOR
     i = np.flatnonzero(inside[:-1] != inside[1:])
     cross = refine_brackets(
-        lambda t: _negativity(dyn, s_offset, t, signed=True) - floor,
+        lambda t: _negativity(dyn, s_offset, t, signed=True) - CP_FLOOR,
         grid[i], grid[i + 1], 1e-12,
     )
-    marks = [t0] + sorted(float(x) for x in cross) + [t1]
-    mids = 0.5 * (np.array(marks[:-1]) + np.array(marks[1:]))
-    bad = _negativity(dyn, s_offset, mids) > floor
-    out: list[tuple[float, float]] = []
-    for a, b, violated in zip(marks[:-1], marks[1:], bad):
-        if violated:
-            _append_merged(out, a, b)
-    return out
+    marks = np.array([t0] + sorted(float(x) for x in cross) + [t1])
+    mids = 0.5 * (marks[:-1] + marks[1:])
+    starts, ends = runs(_negativity(dyn, s_offset, mids) > CP_FLOOR)
+    return list(zip(marks[starts].tolist(), marks[ends].tolist()))
 
 
 # QUADPACK's qk15 rule on [-1, 1], outermost node first down to 0: the

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .poly_laplace import evaluate_all
-from .renewal import generating_function
+from .renewal import CP_FLOOR, generating_function
 from .waiting_time import HypoExpWTD
 
 __all__ = [
@@ -98,8 +98,11 @@ class PauliChannel:
 
     @property
     def mu(self) -> tuple[float, float, float, float]:
-        """Eigenvalues on the Pauli basis: mu_0 = 1, |mu_i| <= 1."""
-        return tuple(spectral_transform(self.lam))
+        """Eigenvalues on the Pauli basis: mu_0 = 1, |mu_i| <= 1; a mu_i within
+        the rounding of four weights (4 eps) is an exact 0, the mu = 0 route."""
+        mu = spectral_transform(self.lam)
+        mu[np.abs(mu) <= 4.0 * np.finfo(float).eps] = 0.0
+        return tuple(mu)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return sum(
@@ -174,7 +177,7 @@ class ChoiVector:
         return min(self.mu_t)
 
     def is_completely_positive(self) -> bool:
-        return self.min_component >= -1e-12
+        return self.min_component >= -CP_FLOOR
 
     @property
     def negativity(self) -> float:

@@ -29,6 +29,7 @@ from .poly_laplace import (
 from .waiting_time import HypoExpWTD
 
 __all__ = [
+    "CP_FLOOR",
     "GeneratingFunction",
     "ExtremumPoint",
     "SeriesTruncationError",
@@ -42,11 +43,15 @@ __all__ = [
     "pole_grid",
     "sign_brackets",
     "refine_brackets",
+    "runs",
 ]
 
 #: Truncation index for jump-count series (tail controlled by the Poisson
 #: count of the fastest stage).
 N_MAX_JUMPS = 512
+
+#: A Choi weight or transition-matrix entry below -CP_FLOOR counts as negative.
+CP_FLOOR = 1e-12
 
 
 class SeriesTruncationError(RuntimeError):
@@ -257,6 +262,12 @@ def sign_brackets(values, envelopes) -> tuple[np.ndarray, np.ndarray]:
     idx = np.flatnonzero(sgn)
     flip = sgn[idx[:-1]] != sgn[idx[1:]]
     return idx[:-1][flip], idx[1:][flip]
+
+
+def runs(flags) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end-exclusive indices of each maximal run of True in flags."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], np.int8(flags), [0]))))
+    return edges[::2], edges[1::2]
 
 
 def refine_brackets(f, a, b, xtol: float) -> np.ndarray:

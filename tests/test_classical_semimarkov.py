@@ -16,7 +16,7 @@ from smqdyn.classical_semimarkov import (
     witness_divisibility,
 )
 from smqdyn.poly_laplace import AccuracyError
-from smqdyn.renewal import even_odd_difference, find_extrema
+from smqdyn.renewal import CP_FLOOR, even_odd_difference, find_extrema
 from smqdyn.waiting_time import HypoExpWTD
 
 HALF_EXP = SemiMarkovSpec(0.5, 0.5, HypoExpWTD.exponential(1.0))
@@ -287,7 +287,7 @@ def _reference_growth_intervals(spec, pairs, times, tol=1e-12):
     return tuple(out)
 
 
-def _reference_divisibility(spec, times, tol=1e-10):
+def _reference_divisibility(spec, times, tol=CP_FLOOR):
     """witness_divisibility's report by a double loop over (s, t)."""
     h = _mixing_function(spec)
     T_max = float(times[-1])

@@ -248,6 +248,13 @@ class TestMeasuresCommand:
         assert main(argv + ["--format", "csv"]) == 2
         assert "unrecognized arguments: --format" in capsys.readouterr().err
 
+    def test_channel_with_a_zero_eigenvalue(self, capsys):
+        # mu_z = 0.1 - 0.3 - 0.2 + 0.4 must be an exact 0, not its rounding 2.8e-17.
+        argv = ["measures", "--channel", "pauli:0.1,0.3,0.2,0.4", "--wtd", "erlang:3:1"]
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["measures"]["rhp"]["infinite"] is True
+
     def test_memoryless_all_measures_vanish(self, tmp_path):
         out = tmp_path / "m.json"
         main(["measures", "--channel", "mix:0.8", "--wtd", "exp:1", "--out", str(out)])

@@ -122,6 +122,15 @@ class TestDistinguishabilityTrace:
         with pytest.raises(ValueError):
             distinguishability_trace(PHASEFLIP, ERLANG2, PLUS, PLUS, (0.0, 5.0))
 
+    def test_channel_with_a_zero_eigenvalue(self):
+        # mu_z = 0.1 - 0.3 - 0.2 + 0.4 is an exact 0, not its rounding 2.8e-17,
+        # so lam_z is the survival probability.
+        ch, w = PauliChannel([0.1, 0.3, 0.2, 0.4]), HypoExpWTD.erlang(3, 1.0)
+        up, down = QubitState.from_bloch([0, 0, 1]), QubitState.from_bloch([0, 0, -1])
+        tr = distinguishability_trace(ch, w, up, down, (0.0, 20.0))
+        assert not tr.has_growth
+        assert np.allclose(tr.distances, w.survival()(tr.times), rtol=0, atol=1e-14)
+
 
 class TestBlpMeasure:
     def test_two_stage_memory_is_exact(self):
@@ -772,6 +781,23 @@ class TestFixedLagSearch:
         intervals = _violation_intervals(dyn, 1e-3 / max(w.rates), _window(dyn))
         assert len(intervals) == RECORDED_MEASURES["phaseflip/conv:1,0.3"][1][1]
         assert len(calls) <= 40
+
+    def test_touching_violated_segments_are_one_interval(self, monkeypatch):
+        # A refined boundary inside a violation region (as a bracket holding
+        # three crossings may give) splits it into two violated segments that
+        # share that boundary; they come out as one interval.
+        ch, w = DIAGNOSTIC_SHAPES["phaseflip/conv:1,0.3"]
+        dyn = dynamics(ch, w)
+        s, window = 1e-3 / max(w.rates), _window(dyn)
+        intervals = _violation_intervals(dyn, s, window)
+        (a, b), inner = intervals[0], 0.5 * sum(intervals[0])
+        refine = nonmarkov.refine_brackets
+        monkeypatch.setattr(
+            nonmarkov, "refine_brackets", lambda *args: np.append(refine(*args), inner)
+        )
+        split = np.array([0.5 * (a + inner), 0.5 * (inner + b)])
+        assert np.all(_negativity(dyn, s, split) > 1e-12)
+        assert _violation_intervals(dyn, s, window) == intervals
 
     @pytest.mark.parametrize("seed", range(30))
     def test_singular_times_are_the_distinct_extrema_zero_crossings(self, seed):

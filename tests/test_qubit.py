@@ -60,6 +60,16 @@ class TestPauliChannel:
             assert mu[0] == pytest.approx(1.0)
             assert all(abs(m) <= 1.0 + 1e-12 for m in mu[1:])
 
+    def test_rounding_level_eigenvalue_is_an_exact_zero(self):
+        # 0.1 - 0.3 - 0.2 + 0.4 rounds to 2.8e-17 before the snap.
+        ch = PauliChannel([0.1, 0.3, 0.2, 0.4])
+        assert ch.mu[3] == 0.0
+        assert ch.mu[1:3] == pytest.approx((-0.2, -0.4), abs=1e-15)
+        assert PauliChannel([0.25, 0.25, 0.25, 0.25]).mu[1:] == (0.0, 0.0, 0.0)
+        # A small genuine eigenvalue is kept.
+        tiny = PauliChannel([0.5000000000005, 0.4999999999995, 0, 0]).mu[3]
+        assert tiny == pytest.approx(1e-12, rel=1e-4)
+
     def test_exchange_channel_matches_ladder_form(self):
         rho = QubitState.from_bloch([0.3, -0.2, 0.4]).matrix()
         sp = np.array([[0, 1], [0, 0]], dtype=complex)

@@ -19,6 +19,7 @@ from smqdyn.renewal import (
     generating_function,
     jump_probability,
     refine_brackets,
+    runs,
     series_backend,
     sign_brackets,
 )
@@ -423,3 +424,21 @@ class TestRefineBrackets:
         values = np.array([1.0, 1e-20, -1e-20, 1.0, -1.0])
         i, j = sign_brackets(values, np.ones(5))
         assert i.tolist() == [3] and j.tolist() == [4]
+
+
+class TestRuns:
+    @pytest.mark.parametrize(
+        "flags, starts, ends",
+        [
+            ([], [], []),
+            ([False, False, False], [], []),
+            ([True, True, True], [0], [3]),
+            ([True, False, False, True], [0, 3], [1, 4]),
+            ([True, False, True, False, True], [0, 2, 4], [1, 3, 5]),
+            ([False, True, False, True], [1, 3], [2, 4]),
+            ([False, True, True, False, True, True, True, False], [1, 4], [3, 7]),
+        ],
+    )
+    def test_start_and_end_exclusive_of_each_run(self, flags, starts, ends):
+        got = runs(np.array(flags, dtype=bool))
+        assert got[0].tolist() == starts and got[1].tolist() == ends
