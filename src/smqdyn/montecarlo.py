@@ -36,7 +36,7 @@ __all__ = [
     "write_estimates_csv",
 ]
 
-_CHUNK = 1024  # trajectories per batch; bounds the temporaries, not the results
+_CHUNK = 2048  # trajectories per batch; bounds the temporaries, not the results
 _KEEP = 2**22  # most counts (n_traj x times) a kept ensemble holds; bounds memory
 _last: tuple = (None, ())  # key and batches of the ensemble kept
 
@@ -96,7 +96,9 @@ def _philox_random(seed: int, index: np.ndarray, start, count: int) -> np.ndarra
     """
     seed, index = int(seed), np.asarray(index, dtype=_U)
     start = np.asarray(start, dtype=_U) + np.zeros_like(index)
-    x0 = (start // _U(4) + _U(1))[:, None] + np.arange((count + 6) // 4, dtype=_U)
+    skip = (start % _U(4)).astype(np.intp)  # words of the first block before start
+    width = (int(skip.max(initial=0)) + count + 3) // 4  # blocks the widest row spans
+    x0 = (start // _U(4) + _U(1))[:, None] + np.arange(width, dtype=_U)
     x1 = x2 = x3 = np.zeros_like(x0)
     for r in range(10):
         k0, k1 = _U((seed + r * _W0) % 2**64), index[:, None] + _U(r * _W1 % 2**64)
@@ -104,7 +106,7 @@ def _philox_random(seed: int, index: np.ndarray, start, count: int) -> np.ndarra
             _mulhi(_M1, x2) ^ x1 ^ k0, x2 * _M1, _mulhi(_M0, x0) ^ x3 ^ k1, x0 * _M0
         )
     words = np.stack([x0, x1, x2, x3], axis=-1).reshape(len(index), 4 * x0.shape[1])
-    cols = (start % _U(4)).astype(np.intp)[:, None] + np.arange(count)
+    cols = skip[:, None] + np.arange(count)
     return (np.take_along_axis(words, cols, axis=1) >> _U(11)) * 2.0**-53
 
 
@@ -166,14 +168,15 @@ def sample_jump_count(w: HypoExpWTD, t: float, rng: np.random.Generator) -> int:
 
 
 def _ensemble(w: HypoExpWTD, times: np.ndarray, cfg: SimConfig, offset: int):
-    """Batches (start, counts, used) of `_jump_counts` over all trajectories.
+    """Batches (start, counts, used, lead) of `_jump_counts` over all trajectories.
 
     A batch holds what `_jump_counts` returns for the streams of trajectories
-    start, start + 1, ... past their first `offset` draws, read-only and in
-    the narrowest unsigned dtype that holds it.  The most recent ensemble of
-    at most `_KEEP` counts is kept, so estimators on the same (w, times, cfg,
-    offset) compute its streams once; a larger one is computed batch by batch
-    as it is reduced, so its memory stays one batch.
+    start, start + 1, ... past their first `offset` draws, and an owned copy
+    `lead` of those draws from its head call, which starts at draw 0; all
+    read-only, the counts in the narrowest unsigned dtype that holds them.
+    The most recent ensemble of at most `_KEEP` counts is kept, so estimators
+    on the same (w, times, cfg, offset) compute its streams once; a larger one
+    is computed batch by batch as it is reduced, so its memory stays one batch.
     """
     global _last
     key = (w, tuple(times.tolist()), cfg, offset)
@@ -185,15 +188,20 @@ def _ensemble(w: HypoExpWTD, times: np.ndarray, cfg: SimConfig, offset: int):
     def batches():
         for start in range(0, cfg.n_traj, _CHUNK):
             index = np.arange(start, min(start + _CHUNK, cfg.n_traj), dtype=_U)
+            lead = []
 
             def draws(rows, first, width):
-                return _philox_random(cfg.seed, index[rows], offset + first, width)
+                if first:
+                    return _philox_random(cfg.seed, index[rows], offset + first, width)
+                u = _philox_random(cfg.seed, index[rows], 0, offset + width)
+                lead.append(u[:, :offset].copy())
+                return u[:, offset:]
 
             arrays = _jump_counts(w, times, cfg.horizon, draws)
             arrays = [a.astype(np.min_scalar_type(a.max(initial=0))) for a in arrays]
-            for a in arrays:
+            for a in (*arrays, *lead):
                 a.setflags(write=False)
-            yield start, *arrays
+            yield start, *arrays, *lead
 
     if cfg.n_traj * len(times) > _KEEP:
         return batches()
@@ -203,15 +211,15 @@ def _ensemble(w: HypoExpWTD, times: np.ndarray, cfg: SimConfig, offset: int):
 
 
 def _estimate(w: HypoExpWTD, times, cfg: SimConfig, values, offset: int = 0):
-    """Mean and standard error of `values(counts, used, index)` over trajectories.
+    """Means and standard errors of `values(counts, used, lead, index)`.
 
     `values` runs on the batches of `_ensemble`.  The sums run through
     `np.add.accumulate`, which adds one trajectory at a time in index order,
     so the batch size never changes a bit.
     """
     acc = np.zeros((2, len(times)))
-    for start, counts, used in _ensemble(w, times, cfg, offset):
-        vals = values(counts, used, np.arange(start, start + len(used), dtype=_U))
+    for start, counts, used, lead in _ensemble(w, times, cfg, offset):
+        vals = values(counts, used, lead, np.arange(start, start + len(used), dtype=_U))
         rows = np.concatenate([acc[None], np.stack([vals, vals * vals], axis=1)])
         acc = np.add.accumulate(rows, axis=0)[-1]
     n_traj = cfg.n_traj
@@ -244,10 +252,11 @@ def estimate_generating_function(
     if not -1.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [-1, 1]")
     times = _check_times(times, cfg)
-    # dtype: numpy 1.x would compute a power of uint8 counts in float16
-    return _estimate(
-        w, times, cfg, lambda counts, *_: np.power(float(mu), counts, dtype=float)
-    )
+
+    def values(counts, *_):  # mu^N from a table of mu^0 .. mu^max N
+        return np.power(float(mu), np.arange(int(counts.max(initial=0)) + 1.0))[counts]
+
+    return _estimate(w, times, cfg, values)
 
 
 def estimate_jump_probability(
@@ -278,11 +287,11 @@ def simulate_two_state(
     times = _check_times(times, cfg)
     to_first = np.array([spec.pi, spec.sigma])  # P(next state = first | current)
 
-    def values(counts, used, index):
+    def values(counts, used, lead, index):
         steps = int(counts.max()) if counts.size else 0
         u = _philox_random(cfg.seed, index, used.astype(_U) + _U(1), steps)
         states = np.empty((len(index), steps + 1), dtype=np.int8)
-        states[:, 0] = _philox_random(cfg.seed, index, 0, 1)[:, 0] >= p0.p[0]
+        states[:, 0] = lead[:, 0] >= p0.p[0]
         for k in range(steps):
             states[:, k + 1] = u[:, k] >= to_first[states[:, k]]
         return (np.take_along_axis(states, counts, axis=1) == 0).astype(float)

@@ -261,20 +261,20 @@ def divisibility_scan(
 ) -> DivisibilityScan:
     """Smallest Pauli-conjugation weight of the intermediate map per cell.
 
-    The map from t to t+s has eigenvalue ratios lam_i(t+s)/lam_i(t); columns
-    whose t falls within 1e-6 of a zero of any lam_i (scaled by the window
-    length) are flagged singular and excluded, mirroring the divergence of
-    the ratios there.
+    The map from t to t+s has eigenvalue ratios lam_i(t+s)/lam_i(t); rows
+    whose t falls within 1e-6 * max t of a zero of any lam_i are flagged
+    singular and excluded, mirroring the divergence of the ratios there.  The
+    mask depends on the start times only, as in witness_divisibility.
     """
     t_values = np.asarray(t_values, dtype=float)
     s_values = np.asarray(s_values, dtype=float)
     if not all(v.size and np.isfinite(v).all() for v in (t_values, s_values)):
         raise ValueError("scan times and lags must be non-empty and finite")
     dyn = dynamics(ch, w)
-    T = float(t_values.max() + s_values.max())
-    singular = near_zero_mask(t_values, _singular_times(dyn, (0.0, T)), T)
-    lam_t = dyn.lambdas(t_values)[:, :, None]  # (3, nt, 1)
+    lam_t = dyn.lambdas(t_values)[:, :, None]  # (3, nt, 1); rejects t < 0
     lam_ts = dyn.lambdas(t_values[:, None] + s_values[None, :])
+    T = float(t_values.max())
+    singular = near_zero_mask(t_values, _singular_times(dyn, (0.0, T + 1e-9)), T)
     min_comp = _choi_weights(lam_t, lam_ts).min(axis=0)
     min_comp[singular, :] = np.nan
     i, j = np.nonzero(min_comp < -CP_FLOOR)  # row-major: t, then s

@@ -178,9 +178,10 @@ def series_backend(
     0, which completes a waiting time, carries a factor mu.  Then
     lam_mu(t) = sum_K Poisson(lam_max t; K) s_K with s_K = e_0^T P^K 1, and
     the rows P^K 1 for K <= k_max come from about log2(k_max) doublings, each
-    one m x m matmul on the rows so far: O(m^2 k_max) flops per call, with no
-    roots or eigenvalues.  Truncating the Poisson sum leaves an error below
-    its tail mass because every row sum of |P| is at most 1, so |s_K| <= 1.
+    one m x m matmul on the rows so far: O(m^2 k_max) flops, with no roots or
+    eigenvalues, cached per (w, mu, doublings).  Truncating the Poisson sum
+    leaves an error below its tail mass because every row sum of |P| is at
+    most 1, so |s_K| <= 1.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -192,9 +193,8 @@ def series_backend(
         raise ValueError("time must be finite")
     if t == 0.0 or mu == 1.0:
         return 1.0
-    m = w.n_stages
     lam_max = max(w.rates)
-    cap = N_MAX_JUMPS * m
+    cap = N_MAX_JUMPS * w.n_stages
     a = lam_max * t
     if a - 40.0 * math.sqrt(a) - 60.0 > cap:  # the mass up to the cap is below e^-800
         raise SeriesTruncationError(
@@ -206,14 +206,25 @@ def series_backend(
         raise SeriesTruncationError(
             f"need {k_max} uniformization steps, cap is {cap}"
         )
-    p = np.array(w.rates) / lam_max
+    rows = _uniformized_rows(w, mu, k_max.bit_length())
+    return float(weights @ rows[: k_max + 1, 0])
+
+
+@lru_cache(maxsize=4)
+def _uniformized_rows(w: HypoExpWTD, mu: float, doublings: int) -> np.ndarray:
+    """Read-only rows (P^K 1)^T of series_backend's chain for K < 2**doublings.
+
+    A slot holds at most 1024*m^2*8 bytes, as 2**doublings <= 2 * cap rows of
+    m.  A sweep over t visits the keys in t order, so a few slots serve it."""
+    p = np.array(w.rates) / max(w.rates)
     step = np.diag(1.0 - p) + np.diag(p[:-1], 1)
-    step[m - 1, 0] += mu * p[-1]  # the wrap completes a waiting time
-    rows, power = np.ones((1, m)), step  # rows[K] = (P^K 1)^T, power = P^len(rows)
-    while rows.shape[0] <= k_max:
+    step[-1, 0] += mu * p[-1]  # the wrap completes a waiting time
+    rows, power = np.ones((1, p.size)), step  # power = P^len(rows)
+    for _ in range(doublings):
         rows = np.vstack([rows, rows @ power.T])
         power = power @ power
-    return float(weights @ rows[: k_max + 1, 0])
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,25 @@ class TestBatchedStreams:
         got = mc._philox_random(3, np.array([], dtype=np.uint64), 2, count)
         assert got.shape == (0, count) and got.dtype == float
 
+    @pytest.mark.parametrize("start, count", [(0, 12), (1, 12), (3, 1), (35, 5)])
+    def test_philox_computes_only_the_blocks_it_returns(
+        self, monkeypatch, start, count
+    ):
+        shapes, mulhi = [], mc._mulhi
+
+        def spy(m, x):
+            shapes.append(x.shape)
+            return mulhi(m, x)
+
+        monkeypatch.setattr(mc, "_mulhi", spy)
+        index = np.array([0, 5, 2**40], dtype=np.uint64)
+        got = mc._philox_random(31, index, start, count)
+        assert len(shapes) == 20  # two products in each of ten rounds
+        assert set(shapes) == {(3, math.ceil((start % 4 + count) / 4))}
+        for row, i in zip(got, index):
+            rng = trajectory_rng(31, int(i))
+            assert np.array_equal(row, rng.random(start + count)[start:])
+
     def test_philox_per_row_start(self):
         index = np.arange(4, dtype=np.uint64)
         start = np.array([0, 2, 5, 11])
@@ -474,13 +493,35 @@ class TestEnsembleReuse:
 
     def test_kept_arrays_are_read_only_and_narrow(self):
         times = np.array(self.TIMES)
-        batches = mc._ensemble(self.W, times, self.CFG, 0)
-        assert mc._ensemble(self.W, times, self.CFG, 0) is batches
-        for start, counts, used in batches:
-            assert counts.dtype == np.uint8 and used.dtype.kind == "u"
-            for a in (counts, used):
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0] = 0
+        for offset in (0, 1):
+            batches = mc._ensemble(self.W, times, self.CFG, offset)
+            assert mc._ensemble(self.W, times, self.CFG, offset) is batches
+            for start, counts, used, lead in batches:
+                assert counts.dtype == np.uint8 and used.dtype.kind == "u"
+                # the draws before the offset: an owned copy, not a view
+                assert lead.shape == (len(used), offset) and lead.base is None
+                for i in (0, len(used) - 1):
+                    rng = trajectory_rng(self.CFG.seed, start + i)
+                    assert np.array_equal(lead[i], rng.random(offset))
+                for a in (counts, used, lead):
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[0] = 0
+
+    def test_only_the_head_calls_start_at_draw_zero(self, monkeypatch):
+        """simulate_two_state takes the initial state from the head call of
+        each batch, not from a call of its own."""
+        w, cfg = self.W, SimConfig(n_traj=2 * mc._CHUNK + 5, seed=5, horizon=4.0)
+        calls = self.count_calls(monkeypatch, "_philox_random")
+        spec, p0 = SemiMarkovSpec(0.3, 0.6, w), ProbabilityVector((0.4, 0.6))
+        simulate_two_state(spec, p0, [1.0, 4.0], cfg)
+        heads = [(i, n) for _, i, start, n in calls if np.any(np.asarray(start) == 0)]
+        batches = range(0, cfg.n_traj, mc._CHUNK)
+        assert [int(i[0]) for i, _ in heads] == list(batches)
+        sizes = [min(mc._CHUNK, cfg.n_traj - b) for b in batches]
+        assert [len(i) for i, _ in heads] == sizes
+        x = cfg.horizon / w.mean
+        head = int(x + 2.0 * np.sqrt(x + 1.0)) + 2  # waits in a head
+        assert all(n == 1 + head * w.n_stages for _, n in heads)
 
     def test_ensemble_over_the_cap_is_not_kept(self, monkeypatch):
         w, times, cfg = self.W, self.TIMES, self.CFG

@@ -256,12 +256,20 @@ class TestDivisibilityScan:
         assert scan.singular_t[2]
         assert np.isnan(scan.min_component[2, 0])
 
+    def test_singular_mask_does_not_depend_on_the_lags(self):
+        # 1.5e-5 past the zero: outside 1e-6 * max t, inside 1e-6 * (max t + 20)
+        t_vals = np.array([3 * math.pi / 4 + 1.5e-5])
+        for s_max in (5.0, 20.0):
+            scan = divisibility_scan(PHASEFLIP, ERLANG2, t_vals, np.array([0.0, s_max]))
+            assert not scan.singular_t[0]
+            assert np.isfinite(scan.min_component).all()
+
 
 def _reference_scan_cells(ch, w, t_values, s_values):
     """divisibility_scan's singular mask and negative cells by loops."""
     dyn = dynamics(ch, w)
-    T = float(t_values.max() + s_values.max())
-    zeros = _singular_times(dyn, (0.0, T))
+    T = float(t_values.max())
+    zeros = _singular_times(dyn, (0.0, T + 1e-9))
     singular = np.array(
         [any(abs(t - z) <= 1e-6 * T for z in zeros) for t in t_values], dtype=bool
     )
@@ -862,3 +870,8 @@ class TestFixedLagValidation:
     def test_scan_needs_nonempty_finite_times(self, t_values, s_values):
         with pytest.raises(ValueError, match="non-empty and finite"):
             divisibility_scan(PHASEFLIP, ERLANG2, np.array(t_values), np.array(s_values))
+
+    def test_scan_rejects_negative_start_times(self):
+        # before the zero search, whose window (0, max t] would be empty
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            divisibility_scan(PHASEFLIP, ERLANG2, np.array([-1.0, -0.5]), np.array([5.0]))

@@ -14,6 +14,7 @@ from smqdyn.poly_laplace import (
 from smqdyn.renewal import (
     SeriesTruncationError,
     _poisson_weights,
+    _uniformized_rows,
     even_odd_difference,
     find_extrema,
     generating_function,
@@ -442,3 +443,42 @@ class TestRuns:
     def test_start_and_end_exclusive_of_each_run(self, flags, starts, ends):
         got = runs(np.array(flags, dtype=bool))
         assert got[0].tolist() == starts and got[1].tolist() == ends
+
+
+def _time_of_k_max(lam_max: float, k: int, tol: float = 1e-10) -> float:
+    """The first t, to bisection accuracy, whose Poisson truncation index is k."""
+    lo, hi = 0.0, 4.0 * (k + 1) / lam_max
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _poisson_weights(lam_max * mid, tol).size - 1 < k:
+            lo = mid
+        else:
+            hi = mid
+    assert _poisson_weights(lam_max * hi, tol).size - 1 == k
+    return hi
+
+
+class TestSeriesRowsCache:
+    """series_backend keeps the rows P^K 1 per (w, mu, doublings)."""
+
+    W, MU = HypoExpWTD([1.0, 0.4, 2.5]), -0.7
+
+    def test_cached_values_equal_fresh_builds(self):
+        # k_max = 2^j - 1 uses every row of j doublings; 2^j and 2^j + 1 need one more
+        ks = [k for j in (3, 5, 7) for k in (2**j - 1, 2**j, 2**j + 1)]
+        times = [_time_of_k_max(max(self.W.rates), k) for k in ks]
+        fresh = []
+        for t in times:
+            _uniformized_rows.cache_clear()
+            fresh.append(series_backend(self.W, self.MU, t))
+        _uniformized_rows.cache_clear()
+        assert [series_backend(self.W, self.MU, t) for t in times] == fresh
+        assert _uniformized_rows.cache_info().hits == 3  # 2^j + 1 reuses 2^j
+        descending = [series_backend(self.W, self.MU, t) for t in times[::-1]]
+        assert descending == fresh[::-1]
+
+    def test_cached_rows_are_read_only(self):
+        rows = _uniformized_rows(self.W, self.MU, 5)
+        assert rows.shape == (32, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
