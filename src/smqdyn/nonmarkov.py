@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .poly_laplace import ExpPolyFunction
+from .poly_laplace import AccuracyError, ExpPolyFunction
 from .renewal import (
     CP_FLOOR,
     find_extrema,
@@ -218,10 +219,9 @@ def blp_measure_numeric(
     else:
         T = _auto_window(derivs)
         window, tail = (0.0, T), sum(d.tail_envelope_integral(T) for d in derivs)
-    distinct = {g.mu: g.value for g in dyn.generators}
-    scored = {mu: _positive_variation(f, window) for mu, f in distinct.items()}
-    axis = max(range(3), key=lambda i: scored[dyn.generators[i].mu][0])
-    value, contributions = scored[dyn.generators[axis].mu]
+    scored = [_positive_variation(g.value, window) for g in dyn.generators]
+    axis = max(range(3), key=lambda i: scored[i][0])
+    value, contributions = scored[axis]
     return MeasureResult(
         value,
         tuple(contributions),
@@ -247,10 +247,8 @@ class DivisibilityScan:
 def _singular_times(dyn: ChannelDynamics, window: tuple[float, float]) -> list[float]:
     """Eigenvalue zeros inside the window by find_zeros, once per distinct
     eigenvalue (a dephasing map shares one generator between lam_x and lam_y)."""
-    zeros = []
-    for g in {g.mu: g for g in dyn.generators if not g.derivative.is_zero()}.values():
-        zeros += find_zeros(g.value, window).tolist()
-    return sorted(zeros)
+    fs = dict.fromkeys(g.value for g in dyn.generators if not g.derivative.is_zero())
+    return sorted(z for f in fs for z in find_zeros(f, window).tolist())
 
 
 def divisibility_scan(
@@ -309,10 +307,12 @@ def _negativity(dyn: ChannelDynamics, s: float, t, signed: bool = False) -> np.n
     return np.where(np.any(lam == 0.0, axis=0), np.inf, neg)
 
 
+@lru_cache(maxsize=256)
 def _violation_intervals(
     dyn: ChannelDynamics, s_offset: float, window: tuple[float, float]
-) -> list[tuple[float, float]]:
-    """Subintervals where the intermediate map fails complete positivity.
+) -> tuple[tuple[float, float], ...]:
+    """Subintervals where the intermediate map fails complete positivity,
+    cached per (dyn, lag, window) so that hou and rhp search them once.
 
     Boundaries are refined on the signed negativity: the total negativity is
     flat outside the region and kinked at its edge, where regula falsi stalls.
@@ -328,8 +328,11 @@ def _violation_intervals(
     marks = np.array([t0] + sorted(float(x) for x in cross) + [t1])
     mids = 0.5 * (marks[:-1] + marks[1:])
     starts, ends = runs(_negativity(dyn, s_offset, mids) > CP_FLOOR)
-    return list(zip(marks[starts].tolist(), marks[ends].tolist()))
+    return tuple(zip(marks[starts].tolist(), marks[ends].tolist()))
 
+
+#: Open panels of _gauss_kronrod past which only the largest errors are split.
+QUAD_PANEL_CAP = 4000
 
 # QUADPACK's qk15 rule on [-1, 1], outermost node first down to 0: the
 # Kronrod nodes and weights, and the 7-point Gauss weights on every second node.
@@ -346,21 +349,28 @@ _GK_WEIGHTS = np.array(_WK + _WK[-2::-1])
 _G7_WEIGHTS = np.array(_WG + _WG[-2::-1])
 
 
-def _gauss_kronrod(f, pieces):
+def _gauss_kronrod(f, pieces, scale=math.inf):
     """Adaptive G7/K15 integrals of the array-valued f, one per piece.
 
     A piece is an increasing array of breakpoints: the interval ends and the
-    singular times inside.  Each round evaluates f on every active panel in
-    one call; a panel is final once its QUADPACK error estimate is within its
-    length share of max(eps, eps*|I|), scipy quad's default tolerance, and
-    the others are halved.  Returns the integrals and their error estimates.
+    singular times inside.  Each round evaluates f on every open panel in one
+    call and halves those that are not final.  A panel is final once its
+    QUADPACK error estimate is within its length share of max(eps, eps*|I|),
+    scipy quad's default tolerance, and it is no wider than scale where it
+    touches a singular time (f's features there are that wide); or once it is
+    within 32 ulps of its midpoint.  Over QUAD_PANEL_CAP open panels, a piece
+    whose errors meet its tolerance is done (QUADPACK's test) and only the
+    largest errors are split.  Returns the integrals and their error
+    estimates; raises AccuracyError where an error exceeds its tolerance.
     """
     eps, max_rounds = 1.49e-8, 50
     lo = np.concatenate([p[:-1] for p in pieces] + [[]])
     hi = np.concatenate([p[1:] for p in pieces] + [[]])
-    owner = np.repeat(np.arange(len(pieces)), [len(p) - 1 for p in pieces])
+    n = len(pieces)
+    owner = np.repeat(np.arange(n), [len(p) - 1 for p in pieces])
     length = np.array([p[-1] - p[0] for p in pieces])
-    total, error = np.zeros(len(pieces)), np.zeros(len(pieces))
+    inner = np.concatenate([p[1:-1] for p in pieces] + [[]])
+    total, error = np.zeros(n), np.zeros(n)
     for rnd in range(max_rounds):
         if lo.size == 0:
             break
@@ -376,15 +386,27 @@ def _gauss_kronrod(f, pieces):
         err = np.where(asc > 0, scaled, err)
         resabs = half * (np.abs(fx) @ _GK_WEIGHTS)
         err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
-        estimate = total + np.bincount(owner, val, len(pieces))
-        share = np.maximum(eps, eps * np.abs(estimate))[owner] / length[owner]
-        final = (err <= share * 2.0 * half) | (rnd == max_rounds - 1)
-        total += np.bincount(owner[final], val[final], len(pieces))
-        error += np.bincount(owner[final], err[final], len(pieces))
+        tol = np.maximum(eps, eps * np.abs(total + np.bincount(owner, val, n)))
+        coarse = (np.isin(lo, inner) | np.isin(hi, inner)) & (half > scale)
+        final = (err <= (tol / length)[owner] * 2.0 * half) & ~coarse
+        final |= (half <= 32.0 * np.spacing(np.abs(mid))) | (rnd == max_rounds - 1)
+        split = np.flatnonzero(~final)
+        if split.size > QUAD_PANEL_CAP // 2:
+            met = error + np.bincount(owner, err, n) <= tol
+            final |= (met & (np.bincount(owner, coarse, n) == 0))[owner]
+            split = np.flatnonzero(~final)
+            rank = np.argsort(np.where(coarse, np.inf, err)[split])
+            final[split[rank[: max(split.size - QUAD_PANEL_CAP // 2, 0)]]] = True
+        total += np.bincount(owner[final], val[final], n)
+        error += np.bincount(owner[final], err[final], n)
         keep = ~final
         lo = np.concatenate([lo[keep], mid[keep]])
         hi = np.concatenate([mid[keep], hi[keep]])
         owner = np.tile(owner[keep], 2)
+    tol = np.maximum(eps, eps * np.abs(total))
+    for e, t in zip(error, tol):
+        if e > t:
+            raise AccuracyError(f"quadrature error {e:.2g} exceeds the tolerance {t:.2g}")
     return total, error
 
 
@@ -406,7 +428,8 @@ def _fixed_lag_setup(
     dyn = dynamics(ch, w)
     if window is None:
         window = (0.0, _auto_window([g.derivative for g in dyn.generators]))
-    return dyn, s_offset, _checked_window(window)
+    t0, t1 = _checked_window(window)
+    return dyn, s_offset, (float(t0), float(t1))
 
 
 def hou_measure(
@@ -432,7 +455,7 @@ def hou_measure(
         np.array(sorted({a, b, *(z for z in zeros if a < z < b)})) for a, b in intervals
     ]
     vals, errs = _gauss_kronrod(
-        lambda t: np.arctan(_negativity(dyn, s_offset, t)), pieces
+        lambda t: np.arctan(_negativity(dyn, s_offset, t)), pieces, s_offset
     )
     length = float(sum(b - a for a, b in intervals))
     return MeasureResult(

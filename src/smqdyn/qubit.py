@@ -194,13 +194,17 @@ class ChannelDynamics:
         self.generators = tuple(
             generating_function(wtd, mu_i) for mu_i in channel.mu[1:]
         )
+        # Each distinct eigenvalue is evaluated once and its row repeated;
+        # evaluate_all sums each row alone, so the rows are bit-identical.
+        self._distinct = list(dict.fromkeys(self.generators))
+        self._rows = [self._distinct.index(g) for g in self.generators]
 
     def lambdas(self, t):
         """Array of shape (3,) + shape(t) with lam_x, lam_y, lam_z."""
-        return evaluate_all([g.value for g in self.generators], t)
+        return evaluate_all([g.value for g in self._distinct], t)[self._rows]
 
     def lambda_dots(self, t):
-        return evaluate_all([g.derivative for g in self.generators], t)
+        return evaluate_all([g.derivative for g in self._distinct], t)[self._rows]
 
     def snapshot(self, t: float) -> MapSnapshot:
         return MapSnapshot(

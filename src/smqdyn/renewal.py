@@ -292,6 +292,8 @@ def refine_brackets(f, a, b, xtol: float) -> np.ndarray:
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
+    if a.size == 0:
+        return a
     fa, fb = np.asarray(f(a), dtype=float), np.asarray(f(b), dtype=float)
     side = np.zeros(a.shape)  # end moved last: -1 for a, +1 for b
     old = prev = np.full(a.shape, np.inf)
@@ -326,15 +328,20 @@ def find_extrema(
     Sign changes of f' are bracketed on a grid finer than any pole period and
     refined all at once; zeros of f are located the same way.  Stationary
     values below 1e-12 times the window scale of |f| count as zero-touching
-    minima.
+    minima.  Searches are cached per (f, window), f by value.
     """
+    return list(_extrema(f, (float(window[0]), float(window[1]))))
+
+
+@lru_cache(maxsize=256)
+def _extrema(f: ExpPolyFunction, window: tuple[float, float]) -> tuple:
     t0, T = window
     grid = pole_grid([f], window, 100)
     df = f.differentiate()
     if df.is_zero():
-        return []
-    fv, dv = f(grid), df(grid)
-    scale = float(np.max(np.abs(fv))) or 1.0
+        return ()
+    dv = df(grid)
+    scale = float(np.max(np.abs(f(grid)))) or 1.0
     i, j = sign_brackets(dv, df.envelope(grid))
     stat = refine_brackets(df, grid[i], grid[j], xtol=1e-14)
     stat = stat[(t0 < stat) & (stat < T)]
@@ -350,19 +357,26 @@ def find_extrema(
                 cv = f(min(t_star + h, T)) - 2.0 * val + f(max(t_star - h, t0))
             kind = "max" if val * cv < 0 else "min"
         points.append(ExtremumPoint(float(t_star), float(val), kind))
-    zeros = find_zeros(f, window, fv)
+    zeros = find_zeros(f, window)
     points += [ExtremumPoint(float(z), 0.0, "zero-crossing") for z in zeros]
     points.sort(key=lambda p: p.t)
-    return points
+    return tuple(points)
 
 
-def find_zeros(f: ExpPolyFunction, window: tuple[float, float], fv=None):
+def find_zeros(f: ExpPolyFunction, window: tuple[float, float]) -> np.ndarray:
     """Sign changes of f inside the window, the zero crossings of find_extrema
-    without its extrema; fv may hold the values of f on their shared grid."""
+    without its extrema, as a read-only array cached per (f, window)."""
+    return _zeros(f, (float(window[0]), float(window[1])))
+
+
+@lru_cache(maxsize=256)
+def _zeros(f: ExpPolyFunction, window: tuple[float, float]) -> np.ndarray:
     grid = pole_grid([f], window, 100)
-    i, j = sign_brackets(f(grid) if fv is None else fv, f.envelope(grid))
+    i, j = sign_brackets(f(grid), f.envelope(grid))
     z = refine_brackets(f, grid[i], grid[j], xtol=1e-14)
-    return z[(grid[0] < z) & (z < grid[-1])]
+    z = z[(grid[0] < z) & (z < grid[-1])]
+    z.setflags(write=False)
+    return z
 
 
 def near_zero_mask(times, zeros, horizon: float) -> np.ndarray:

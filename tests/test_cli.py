@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from smqdyn import nonmarkov
 from smqdyn.cli import main, parse_channel_spec, parse_wtd_spec
 
 
@@ -242,6 +243,23 @@ class TestMeasuresCommand:
         argv = ["measures", "--channel", "ep", "--wtd", "conv:1,0.14", "--s-offset", lag]
         assert main(argv) == 2
         assert "lag must be positive" in capsys.readouterr().err
+
+    def test_tiny_lag_finishes(self, capsys):
+        # Within s of each eigenvalue zero the Hou integrand has features of
+        # width s; the quadrature resolves them inside its panel cap.
+        argv = ["measures", "--channel", "phaseflip", "--wtd", "conv:1,0.3",
+                "--s-offset", "1e-8"]
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert 0.0 < json.loads(out)["measures"]["hou"]["value"] < 1e-6
+
+    def test_quadrature_over_its_cap_is_a_numerical_failure(self, monkeypatch, capsys):
+        # Eight open panels cannot resolve the tiny-lag integrand above.
+        monkeypatch.setattr(nonmarkov, "QUAD_PANEL_CAP", 8)
+        argv = ["measures", "--channel", "phaseflip", "--wtd", "conv:1,0.3",
+                "--s-offset", "1e-8"]
+        assert main(argv) == 3
+        assert "quadrature error" in capsys.readouterr().err
 
     def test_has_no_format_option(self, capsys):
         argv = ["measures", "--channel", "phaseflip", "--wtd", "exp:1"]

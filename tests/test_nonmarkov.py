@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from smqdyn import nonmarkov
+from smqdyn import nonmarkov, renewal
 from smqdyn.nonmarkov import (
     _G7_WEIGHTS,
     _GK_NODES,
@@ -37,10 +39,11 @@ from smqdyn.qubit import (
     evolve_state,
     map_snapshot,
 )
-from smqdyn.poly_laplace import ExpPolyFunction, evaluate_all
+from smqdyn.poly_laplace import AccuracyError, ExpPolyFunction, evaluate_all
 from smqdyn.renewal import (
     even_odd_difference,
     find_extrema,
+    find_zeros,
     pole_grid,
     refine_brackets,
     sign_brackets,
@@ -56,6 +59,20 @@ EXCHANGE = PauliChannel.exchange()
 PLUS = QubitState.from_bloch([1.0, 0.0, 0.0])
 MINUS = QubitState.from_bloch([-1.0, 0.0, 0.0])
 EXACT_MEASURE = 1.0 / (math.exp(math.pi) - 1.0)
+
+
+@pytest.fixture
+def cold():
+    """Empties the sign-structure caches now, and again on each call, so
+    that a spy sees its searches run instead of a cache hit."""
+
+    def clear():
+        renewal._extrema.cache_clear()
+        renewal._zeros.cache_clear()
+        nonmarkov._violation_intervals.cache_clear()
+
+    clear()
+    return clear
 
 
 class TestTraceDistance:
@@ -775,7 +792,7 @@ class TestFixedLagSearch:
         assert np.array_equal(signed[total > 0], total[total > 0])
         assert np.all(signed[total == 0] < 0)
 
-    def test_violation_search_evaluation_budget(self, monkeypatch):
+    def test_violation_search_evaluation_budget(self, monkeypatch, cold):
         # Refining the total negativity took 110 calls here.
         ch, w = DIAGNOSTIC_SHAPES["phaseflip/conv:1,0.3"]
         dyn = dynamics(ch, w)
@@ -790,7 +807,7 @@ class TestFixedLagSearch:
         assert len(intervals) == RECORDED_MEASURES["phaseflip/conv:1,0.3"][1][1]
         assert len(calls) <= 40
 
-    def test_touching_violated_segments_are_one_interval(self, monkeypatch):
+    def test_touching_violated_segments_are_one_interval(self, monkeypatch, cold):
         # A refined boundary inside a violation region (as a bracket holding
         # three crossings may give) splits it into two violated segments that
         # share that boundary; they come out as one interval.
@@ -805,10 +822,11 @@ class TestFixedLagSearch:
         )
         split = np.array([0.5 * (a + inner), 0.5 * (inner + b)])
         assert np.all(_negativity(dyn, s, split) > 1e-12)
+        cold()
         assert _violation_intervals(dyn, s, window) == intervals
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_singular_times_are_the_distinct_extrema_zero_crossings(self, seed):
+    def test_singular_times_are_the_distinct_extrema_zero_crossings(self, seed, cold):
         dyn = dynamics(*_seeded_channel(seed))
         upto = _window(dyn)[1]
         ref = {
@@ -818,6 +836,7 @@ class TestFixedLagSearch:
             for p in find_extrema(g.value, (0.0, upto))
             if p.kind == "zero-crossing"
         }
+        cold()
         assert _singular_times(dyn, (0.0, upto)) == sorted(ref)
 
     def test_shared_generator_zeros_listed_once(self):
@@ -875,3 +894,154 @@ class TestFixedLagValidation:
         # before the zero search, whose window (0, max t] would be empty
         with pytest.raises(ValueError, match="time must be nonnegative"):
             divisibility_scan(PHASEFLIP, ERLANG2, np.array([-1.0, -0.5]), np.array([5.0]))
+
+
+def _searched(monkeypatch):
+    """Spy on the sign-structure searches: one (function, window) entry per
+    refine_brackets call, the window being that of the last pole_grid call
+    and the violation search's function "violation"."""
+    calls, window = [], [None]
+    for module, name in ((renewal, None), (nonmarkov, "violation")):
+
+        def gridded(fs, win, n_min, grid=module.pole_grid):
+            window[0] = tuple(win)
+            return grid(fs, win, n_min)
+
+        def counted(f, a, b, xtol, refine=module.refine_brackets, name=name):
+            calls.append((name or f, window[0]))
+            return refine(f, a, b, xtol)
+
+        monkeypatch.setattr(module, "pole_grid", gridded)
+        monkeypatch.setattr(module, "refine_brackets", counted)
+    return calls
+
+
+class TestSearchCaches:
+    @staticmethod
+    def _results(ch, w):
+        dyn = dynamics(ch, w)
+        window = _window(dyn)
+        out = [blp_measure_numeric(ch, w), hou_measure(ch, w), rhp_divisibility_measure(ch, w)]
+        for g in dyn.generators:
+            out += [find_extrema(g.value, window), find_zeros(g.value, window).tolist()]
+        out.append(_violation_intervals(dyn, 1e-3 / max(w.rates), window))
+        return repr(out)
+
+    @pytest.mark.parametrize("shape", sorted(DIAGNOSTIC_SHAPES))
+    def test_cached_results_equal_fresh_ones(self, shape, cold):
+        ch, w = DIAGNOSTIC_SHAPES[shape]
+        first = self._results(ch, w)
+        assert self._results(ch, w) == first  # every search a cache hit
+        cold()
+        assert self._results(ch, w) == first
+
+    @pytest.mark.parametrize("shape", sorted(DIAGNOSTIC_SHAPES))
+    def test_returned_searches_cannot_change_the_cache(self, shape):
+        dyn = dynamics(*DIAGNOSTIC_SHAPES[shape])
+        f, window = dyn.generators[0].value, _window(dyn)
+        points = find_extrema(f, window)
+        expected = list(points)
+        points.clear()
+        assert find_extrema(f, window) == expected
+        zeros = find_zeros(f, window)
+        assert not zeros.flags.writeable
+        with pytest.raises(ValueError):
+            zeros[...] = 0.0
+
+    @pytest.mark.parametrize("shape", sorted(DIAGNOSTIC_SHAPES))
+    def test_list_windows_are_accepted(self, shape):
+        ch, w = DIAGNOSTIC_SHAPES[shape]
+        dyn = dynamics(ch, w)
+        f, (t0, t1) = dyn.generators[0].value, _window(dyn)
+        assert find_extrema(f, [t0, t1]) == find_extrema(f, (t0, t1))
+        assert np.array_equal(find_zeros(f, [t0, t1]), find_zeros(f, (t0, t1)))
+        assert hou_measure(ch, w, window=[t0, t1]) == hou_measure(ch, w, window=(t0, t1))
+
+    @pytest.mark.parametrize("shape", sorted(DIAGNOSTIC_SHAPES))
+    def test_each_search_runs_once_across_the_measures(self, shape, monkeypatch, cold):
+        ch, w = DIAGNOSTIC_SHAPES[shape]
+        calls = _searched(monkeypatch)
+        blp = blp_measure_numeric(ch, w)
+        mu = ch.mu[1]
+        if ch.mu[3] == 1.0 and ch.mu[2] == mu:  # pure dephasing
+            assert blp_measure_dephasing(w, mu).value == blp.value
+        hou, rhp = hou_measure(ch, w), rhp_divisibility_measure(ch, w)
+        assert hou.contributions and (rhp.is_infinite or rhp.contributions)
+        assert len(calls) == len(set(calls))
+        assert sum(key == "violation" for key, _ in calls) == 1
+
+    def test_row_by_row_scans_search_the_zeros_once(self, monkeypatch, cold):
+        # Phase flip: lam_x = lam_y, and lam_z = 1 has no zeros to search.
+        w = HypoExpWTD.erlang(5, 1.0)
+        calls = _searched(monkeypatch)
+        for k in range(400):
+            divisibility_scan(PHASEFLIP, w, np.array([5.0]), np.array([0.01 * k]))
+        assert len(calls) == 1
+
+
+# hou_measure(phase flip, conv:1,0.3) at tiny lags, as the sum of its
+# contributions: mpmath quad at 50 digits of arctan of the Choi negativity
+# built from the double coefficients of lam_-1, over the same violation
+# intervals split at the same eigenvalue zeros (40 digits agree to all
+# printed places).  Within about s of each zero the integrand has features of
+# width s, which the quadrature must resolve: the tolerance is absolute below
+# |I| = 1, and at s = 1e-10 a rule blind to them returned a third of the sum.
+SMALL_LAG_REFERENCES = {
+    1e-8: 7.092299013893654e-07,
+    1e-10: 8.704008672510542e-09,
+    1e-12: 1.0083599330864433e-10,
+}
+
+
+class TestBoundedQuadrature:
+    @pytest.mark.parametrize("lag", sorted(SMALL_LAG_REFERENCES))
+    def test_small_lags_finish_within_their_error(self, lag, cold):
+        w = HypoExpWTD([1.0, 0.3])
+
+        def measure():
+            try:
+                return hou_measure(PHASEFLIP, w, s_offset=lag)
+            except AccuracyError:
+                return None
+
+        start = time.perf_counter()
+        res = measure()
+        assert time.perf_counter() - start < 1.0
+        cold()
+        tracemalloc.start()
+        try:
+            measure()
+            assert tracemalloc.get_traced_memory()[1] < 100e6
+        finally:
+            tracemalloc.stop()
+        if res is not None:
+            quad_err = float(res.note.split("quad_err=")[1])
+            total = sum(v for _, v in res.contributions)
+            assert abs(total - SMALL_LAG_REFERENCES[lag]) <= quad_err
+
+    def test_unresolvable_integrand_raises_within_the_cap(self):
+        # A period of 6e-12 on [0, 1]: the panel cap leaves most of the piece
+        # on panels far wider than a period, so the error estimate stays O(1).
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError, match="exceeds the tolerance"):
+            _gauss_kronrod(lambda t: np.sin(1e12 * t) ** 2, [np.array([0.0, 1.0])])
+        assert time.perf_counter() - start < 5.0
+
+    def test_panels_at_a_singular_time_resolve_its_scale(self):
+        # arctan(a/|t - 1|), a = s/2, has a spike of width s at the breakpoint
+        # 1; its integral over [0, 2] is 2(atan(a) + (a/2) ln(1 + 1/a^2)).
+        # Below the absolute tolerance, a rule that never looks closer than
+        # its outermost node misses most of it and reports a small error.
+        s = 1e-10
+        a = s / 2.0
+
+        def f(t):
+            with np.errstate(divide="ignore"):
+                return np.arctan(a / np.abs(t - 1.0))
+
+        exact = 2.0 * (math.atan(a) + 0.5 * a * math.log1p(1.0 / a**2))
+        piece = [np.array([0.0, 1.0, 2.0])]
+        (blind,), (blind_err,) = _gauss_kronrod(f, piece)
+        (got,), (err,) = _gauss_kronrod(f, piece, scale=s)
+        assert abs(blind - exact) > max(blind_err, 0.5 * exact)
+        assert abs(got - exact) <= err
