@@ -18,36 +18,19 @@ import csv
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .classical_semimarkov import (
-    ProbabilityVector,
-    SemiMarkovSpec,
-    UnstableSolverError,
-    witness_contractivity,
-)
-from .nonmarkov import (
-    PairSearchConfig,
-    blp_measure_dephasing,
-    blp_measure_numeric,
-    divisibility_scan,
-    hou_measure,
-    rhp_divisibility_measure,
-    tcl_coefficients,
-    tcl_equivalence_check,
-)
-from .poly_laplace import RootConvergenceError
-from .qubit import PauliChannel, QubitState
-from .renewal import (
-    CP_FLOOR,
-    SeriesTruncationError,
-    even_odd_difference,
-    find_extrema,
-    generating_function,
-)
+
+# Every command runs these two layers; each imports the rest it runs
+# (classical_semimarkov, qubit, nonmarkov) itself, so a process loads only those.
+from .renewal import CP_FLOOR, even_odd_difference, find_extrema, generating_function
 from .waiting_time import HypoExpWTD
+
+if TYPE_CHECKING:
+    from .qubit import PauliChannel
 
 __all__ = ["main", "parse_wtd_spec", "parse_channel_spec"]
 
@@ -76,6 +59,8 @@ def parse_wtd_spec(spec: str) -> HypoExpWTD:
 
 
 def parse_channel_spec(spec: str) -> PauliChannel:
+    from .qubit import PauliChannel
+
     try:
         if spec == "phaseflip":
             return PauliChannel.phase_flip()
@@ -140,6 +125,12 @@ def _emit_table(args, header: list[str], rows) -> None:
 
 
 def cmd_kolmogorov(args) -> int:
+    from .classical_semimarkov import (
+        ProbabilityVector,
+        SemiMarkovSpec,
+        witness_contractivity,
+    )
+
     wtd = parse_wtd_spec(args.wtd)
     pi, sigma = (0.5, 0.5) if args.preset == "half" else (0.0, 1.0)
     spec = SemiMarkovSpec(pi, sigma, wtd)
@@ -246,14 +237,14 @@ def cmd_sign_scan(args) -> int:
     return EXIT_OK
 
 
-_TCL_PROBES = (
-    QubitState.from_bloch([0.0, 0.0, 1.0]),
-    QubitState.from_bloch([1.0, 0.0, 0.0]),
-    QubitState.from_bloch([0.4, -0.5, 0.6]),
-)
-
-
 def cmd_tcl(args) -> int:
+    from .nonmarkov import tcl_coefficients, tcl_equivalence_check
+    from .qubit import QubitState
+
+    probes = [
+        QubitState.from_bloch(r)
+        for r in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.4, -0.5, 0.6])
+    ]
     ch = parse_channel_spec(args.channel)
     wtd = parse_wtd_spec(args.wtd)
     scale = wtd.rate_scale
@@ -264,7 +255,7 @@ def cmd_tcl(args) -> int:
         if co.singular:
             rows.append([_fmt(x)] + [""] * 8 + [1])
             continue
-        residual = max(tcl_equivalence_check(co, s) for s in _TCL_PROBES)
+        residual = max(tcl_equivalence_check(co, s) for s in probes)
         rows.append(
             [_fmt(x)]
             + [_fmt(v / scale) for v in co.canonical]
@@ -288,6 +279,8 @@ def cmd_tcl(args) -> int:
 
 
 def cmd_choi_scan(args) -> int:
+    from .nonmarkov import divisibility_scan
+
     ch = parse_channel_spec(args.channel)
     wtd = parse_wtd_spec(args.wtd)
     scale = wtd.rate_scale
@@ -315,6 +308,14 @@ def _is_pure_dephasing(ch: PauliChannel) -> float | None:
 
 
 def cmd_measures(args) -> int:
+    from .nonmarkov import (
+        PairSearchConfig,
+        blp_measure_dephasing,
+        blp_measure_numeric,
+        hou_measure,
+        rhp_divisibility_measure,
+    )
+
     ch = parse_channel_spec(args.channel)
     wtd = parse_wtd_spec(args.wtd)
     scale = wtd.rate_scale
@@ -437,13 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    except (
-        UnstableSolverError,
-        SeriesTruncationError,
-        RootConvergenceError,
-        FloatingPointError,
-        RuntimeError,
-    ) as exc:
+    except (FloatingPointError, RuntimeError) as exc:  # the layers' numerical errors
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

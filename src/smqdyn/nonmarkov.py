@@ -38,6 +38,8 @@ from .renewal import (
 from .qubit import (
     PAULI_TRANSFORM,
     SIGMA,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     ChannelDynamics,
     PauliChannel,
     QubitState,
@@ -524,8 +526,7 @@ class TCLCoefficients:
 
     def apply_overcomplete(self, rho: np.ndarray) -> np.ndarray:
         deph, flip, gx, gy = self.overcomplete
-        sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        sm = sp.conj().T
+        sp, sm = SIGMA_PLUS, SIGMA_MINUS
         out = deph * (SIGMA[3] @ rho @ SIGMA[3] - rho)
         out += flip * (sp @ rho @ sm + sm @ rho @ sp - rho)
         out += gx * (SIGMA[1] @ rho @ SIGMA[1] - rho)

@@ -52,6 +52,10 @@ SIGMA = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
+# The exchange pair of the overcomplete time-local form.
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+SIGMA_MINUS = SIGMA_PLUS.conj().T
+SIGMA_PLUS.flags.writeable = SIGMA_MINUS.flags.writeable = False
 
 
 class PositivityError(ValueError):

@@ -8,8 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from smqdyn import nonmarkov
+from smqdyn import classical_semimarkov, cli, nonmarkov
+from smqdyn.classical_semimarkov import UnstableSolverError
 from smqdyn.cli import main, parse_channel_spec, parse_wtd_spec
+from smqdyn.poly_laplace import AccuracyError, RootConvergenceError
+from smqdyn.renewal import SeriesTruncationError
 
 
 def run(args, capsys):
@@ -418,3 +421,83 @@ class TestMeasureWindowValidation:
         )
         assert proc.stdout.split() == ["0", "False"]
         assert json.loads(out.read_text())["measures"]["hou"]["value"] > 0.0
+
+
+class TestNumericalFailureExit:
+    @pytest.mark.parametrize(
+        "module, func, error, argv",
+        [
+            (classical_semimarkov, "witness_contractivity", UnstableSolverError,
+             ["kolmogorov", "--preset", "flip", "--wtd", "exp:1", "--points", "5"]),
+            (cli, "find_extrema", SeriesTruncationError,
+             ["qm", "--m-max", "2", "--points", "5"]),
+            (nonmarkov, "divisibility_scan", RootConvergenceError,
+             ["choiscan", "--channel", "phaseflip", "--wtd", "exp:1"]),
+            (nonmarkov, "hou_measure", AccuracyError,
+             ["measures", "--channel", "phaseflip", "--wtd", "exp:1", "--window", "5"]),
+        ],
+        ids=["UnstableSolverError", "SeriesTruncationError", "RootConvergenceError",
+             "AccuracyError"],
+    )
+    def test_each_error_class_exits_three(self, module, func, error, argv, monkeypatch,
+                                          capsys):
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(module, func, fail)
+        assert main(argv) == 3
+        assert "numerical failure: injected" in capsys.readouterr().err
+
+
+# Prints the exit code, then every smqdyn submodule loaded by one command.
+_LOADED_BY_COMMAND = (
+    "import contextlib, io, sys\n"
+    "from smqdyn.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('smqdyn.')))\n"
+)
+
+
+def _loaded_layers(argv: list[str]) -> tuple[int, set[str]]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_COMMAND, *argv],
+        capture_output=True, text=True, check=True,
+    )
+    code, *modules = proc.stdout.split()
+    return int(code), {m.removeprefix("smqdyn.") for m in modules}
+
+
+class TestImportIsolation:
+    def test_package_import_loads_no_submodule(self):
+        code = "import sys, smqdyn; print([m for m in sys.modules if m.startswith('smqdyn.')])"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv, needed, unused",
+        [
+            (["qm", "--m-max", "2", "--points", "5"], set(),
+             {"nonmarkov", "qubit", "classical_semimarkov", "montecarlo"}),
+            (["signscan", "--mode", "nu", "--x-min", "0", "--x-max", "1",
+              "--x-points", "2", "--t-points", "3"], set(),
+             {"nonmarkov", "qubit", "classical_semimarkov", "montecarlo"}),
+            (["kolmogorov", "--preset", "flip", "--wtd", "conv:1,0.3", "--points", "5",
+              "--pairs", "1"], {"classical_semimarkov"},
+             {"nonmarkov", "qubit", "montecarlo"}),
+            (["tcl", "--channel", "phaseflip", "--wtd", "conv:1,0.3", "--points", "3"],
+             {"nonmarkov"}, {"classical_semimarkov", "montecarlo"}),
+            (["choiscan", "--channel", "ep", "--wtd", "erlang:2:1", "--t-points", "3",
+              "--s-points", "3"], {"nonmarkov"}, {"classical_semimarkov", "montecarlo"}),
+            (["measures", "--channel", "phaseflip", "--wtd", "erlang:2:1",
+              "--window", "5"], {"nonmarkov"}, {"classical_semimarkov", "montecarlo"}),
+        ],
+        ids=["qm", "signscan", "kolmogorov", "tcl", "choiscan", "measures"],
+    )
+    def test_command_loads_only_its_layers(self, argv, needed, unused):
+        code, loaded = _loaded_layers(argv)
+        assert code == 0
+        assert needed <= loaded
+        assert not loaded & unused
