@@ -13,12 +13,11 @@ counts.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "estimate_generating_function",
     "estimate_jump_probability",
     "simulate_two_state",
-    "write_estimates_csv",
 ]
 
 _CHUNK = 2048  # trajectories per batch; bounds the temporaries, not the results
@@ -298,25 +296,3 @@ def simulate_two_state(
 
     return _estimate(spec.wtd, times, cfg, values, offset=1)
 
-
-def write_estimates_csv(
-    stream: IO[str],
-    quantity: str,
-    times: Sequence[float],
-    estimates: Sequence[Estimate],
-    cfg: SimConfig,
-) -> None:
-    """CSV emission with the schema t, quantity, mean, std_error, n_traj, seed."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["t", "quantity", "mean", "std_error", "n_traj", "seed"])
-    for t, est in zip(times, estimates):
-        writer.writerow(
-            [
-                format(float(t), ".12g"),
-                quantity,
-                format(est.mean, ".12g"),
-                format(est.std_error, ".12g"),
-                est.n,
-                cfg.seed,
-            ]
-        )

@@ -34,6 +34,7 @@ from .renewal import (
     pole_grid,
     refine_brackets,
     runs,
+    sign_brackets,
 )
 from .qubit import (
     PAULI_TRANSFORM,
@@ -292,45 +293,90 @@ def _choi_weights(lam: np.ndarray, lam_later: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _negativity(dyn: ChannelDynamics, s: float, t, signed: bool = False) -> np.ndarray:
+def _negativity(dyn: ChannelDynamics, s: float, t) -> np.ndarray:
     """Choi negativity of the intermediate map from t to t + s, for an array t.
 
     It is inf where some lam_i(t) = 0, an isolated point where the ratios
-    diverge (the arctangent stays bounded there).  If signed, minus the smallest
-    positive weight replaces a zero negativity, smooth where a weight turns negative.
+    diverge (the arctangent stays bounded there).
     """
     t = np.asarray(t, dtype=float)
     lam, later = np.moveaxis(dyn.lambdas(np.stack([t, t + s])), 1, 0)
     mu = _choi_weights(lam, later)
     with np.errstate(invalid="ignore"):
         neg = -np.minimum(mu, 0.0).sum(axis=0)
-        if signed:
-            neg = np.where(neg > 0.0, neg, -np.where(mu > 0.0, mu, np.inf).min(axis=0))
     return np.where(np.any(lam == 0.0, axis=0), np.inf, neg)
+
+
+def _choi_numerators(dyn: ChannelDynamics, s: float, t):
+    """Numerators N = Q w of the Choi weights w of the maps from t to t + s,
+    Q, and the term envelope of N.  Q is the product of the distinct
+    non-constant eigenvalues at t, and r_i enters as lam_i(t + s) times the
+    other factors, so N is smooth through the eigenvalue zeros and sign(w) =
+    sign(N) sign(Q).  With a factor per axis, a shared eigenvalue's zeros
+    would stay in N.
+    """
+    gens = dyn.generators
+    first = [gens.index(g) for g in gens]
+    factors = [i for i in dict.fromkeys(first) if not gens[i].derivative.is_zero()]
+    lam, later = np.moveaxis(dyn.lambdas(np.stack([t, t + s])), 1, 0)
+    q = np.prod(lam[factors], axis=0)
+    terms = np.stack([later[i] * np.prod(lam[[j for j in factors if j != k]], axis=0)
+                      for i, k in enumerate(first)])
+    del lam, later  # freed before the numerators are built
+    num = np.tensordot(PAULI_TRANSFORM[:, 1:], terms, axes=1) + q
+    num *= 0.25
+    return num, q, 0.25 * (np.abs(terms).sum(axis=0) + np.abs(q))
+
+
+def _violated(num: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Total negativity above CP_FLOOR, from N and Q (|Q| w is N signed by Q)."""
+    return np.minimum(np.where(q < 0.0, -num, num), 0.0).sum(axis=0) < -CP_FLOOR * abs(q)
 
 
 @lru_cache(maxsize=256)
 def _violation_intervals(
     dyn: ChannelDynamics, s_offset: float, window: tuple[float, float]
-) -> tuple[tuple[float, float], ...]:
-    """Subintervals where the intermediate map fails complete positivity,
-    cached per (dyn, lag, window) so that hou and rhp search them once.
+) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
+    """Subintervals where the intermediate map fails complete positivity and
+    kinks of the total negativity, cached per (dyn, lag, window) for hou and rhp.
 
-    Boundaries are refined on the signed negativity: the total negativity is
-    flat outside the region and kinked at its edge, where regula falsi stalls.
+    Split at the eigenvalue zeros, each cell of the pole grid has one sign of Q.
+    A boundary is refined on -sum_K N_k - CP_FLOOR Q, K the weights negative at
+    the cell's violated end: smooth where the negativity has a kink at the edge
+    and a pole at each zero.  The kinks are the decisive sign changes of each
+    N_k (a weight changes sign); one call refines both, the kinks first.
     """
     t0, t1 = window
     grid = pole_grid([g.value for g in dyn.generators], window, 400)
-    inside = _negativity(dyn, s_offset, grid) > CP_FLOOR
+    zeros = _singular_times(dyn, window)
+    for z in zeros:
+        grid = np.insert(grid, np.count_nonzero(grid < z), z)
+    num, q, env = _choi_numerators(dyn, s_offset, grid)
+    inside = _violated(num, q)
+    kink = [sign_brackets(n_k, env) for n_k in num]
+    a, b = (np.concatenate(ends) for ends in zip(*kink))
+    coef = np.repeat(np.eye(4), [len(i) for i, _ in kink], axis=0)
     i = np.flatnonzero(inside[:-1] != inside[1:])
-    cross = refine_brackets(
-        lambda t: _negativity(dyn, s_offset, t, signed=True) - CP_FLOOR,
-        grid[i], grid[i + 1], 1e-12,
-    )
-    marks = np.array([t0] + sorted(float(x) for x in cross) + [t1])
+    negative = num[:, np.where(inside[i], i, i + 1)] * np.sign(q[i] + q[i + 1]) < 0.0
+    coef = np.vstack([coef, negative.T])
+    floor = np.repeat([0.0, CP_FLOOR], [len(a), len(i)])
+
+    def margin(t):
+        n, qt, _ = _choi_numerators(dyn, s_offset, t)
+        return -((coef.T * n).sum(axis=0) + floor * qt)
+
+    lo, hi = np.concatenate([a, i]), np.concatenate([b, i + 1])
+    roots = refine_brackets(margin, grid[lo], grid[hi], 1e-12)
+    marks = np.array([t0, *sorted(roots[len(a):].tolist()), t1])
     mids = 0.5 * (marks[:-1] + marks[1:])
-    starts, ends = runs(_negativity(dyn, s_offset, mids) > CP_FLOOR)
-    return tuple(zip(marks[starts].tolist(), marks[ends].tolist()))
+    starts, ends = runs(_violated(*_choi_numerators(dyn, s_offset, mids)[:2]))
+    intervals = tuple(zip(marks[starts].tolist(), marks[ends].tolist()))
+    return intervals, tuple(sorted(roots[: len(a)].tolist()))
+
+
+def _pieces(intervals, cuts) -> list[np.ndarray]:
+    """Each interval as an array of its ends and the cuts inside it."""
+    return [np.array(sorted({a, b, *(c for c in cuts if a < c < b)})) for a, b in intervals]
 
 
 #: Open panels of _gauss_kronrod past which only the largest errors are split.
@@ -351,19 +397,20 @@ _GK_WEIGHTS = np.array(_WK + _WK[-2::-1])
 _G7_WEIGHTS = np.array(_WG + _WG[-2::-1])
 
 
-def _gauss_kronrod(f, pieces, scale=math.inf):
+def _gauss_kronrod(f, pieces, scale=math.inf, singular=()):
     """Adaptive G7/K15 integrals of the array-valued f, one per piece.
 
     A piece is an increasing array of breakpoints: the interval ends and the
-    singular times inside.  Each round evaluates f on every open panel in one
-    call and halves those that are not final.  A panel is final once its
-    QUADPACK error estimate is within its length share of max(eps, eps*|I|),
-    scipy quad's default tolerance, and it is no wider than scale where it
-    touches a singular time (f's features there are that wide); or once it is
-    within 32 ulps of its midpoint.  Over QUAD_PANEL_CAP open panels, a piece
-    whose errors meet its tolerance is done (QUADPACK's test) and only the
-    largest errors are split.  Returns the integrals and their error
-    estimates; raises AccuracyError where an error exceeds its tolerance.
+    points inside where f is not smooth.  Each round evaluates f on every open
+    panel in one call and halves those that are not final.  A panel is final
+    once its QUADPACK error estimate is within its length share of
+    max(eps, eps*|I|), scipy quad's default tolerance, and it is no wider than
+    scale where it touches one of the singular times (f's features there are
+    that wide; a kink has none); or once it is within 32 ulps of its midpoint.
+    Over QUAD_PANEL_CAP open panels, a piece whose errors meet its tolerance
+    is done (QUADPACK's test) and only the largest errors are split.  Returns
+    the integrals and their error estimates; raises AccuracyError where an
+    error exceeds its tolerance.
     """
     eps, max_rounds = 1.49e-8, 50
     lo = np.concatenate([p[:-1] for p in pieces] + [[]])
@@ -371,7 +418,6 @@ def _gauss_kronrod(f, pieces, scale=math.inf):
     n = len(pieces)
     owner = np.repeat(np.arange(n), [len(p) - 1 for p in pieces])
     length = np.array([p[-1] - p[0] for p in pieces])
-    inner = np.concatenate([p[1:-1] for p in pieces] + [[]])
     total, error = np.zeros(n), np.zeros(n)
     for rnd in range(max_rounds):
         if lo.size == 0:
@@ -389,7 +435,10 @@ def _gauss_kronrod(f, pieces, scale=math.inf):
         resabs = half * (np.abs(fx) @ _GK_WEIGHTS)
         err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
         tol = np.maximum(eps, eps * np.abs(total + np.bincount(owner, val, n)))
-        coarse = (np.isin(lo, inner) | np.isin(hi, inner)) & (half > scale)
+        coarse = np.zeros(lo.shape, dtype=bool)
+        for z in singular:
+            coarse |= (lo == z) | (hi == z)
+        coarse &= half > scale
         final = (err <= (tol / length)[owner] * 2.0 * half) & ~coarse
         final |= (half <= 32.0 * np.spacing(np.abs(mid))) | (rnd == max_rounds - 1)
         split = np.flatnonzero(~final)
@@ -449,15 +498,13 @@ def hou_measure(
     where the unnormalized measure diverges.
     """
     dyn, s_offset, window = _fixed_lag_setup(ch, w, s_offset, window)
-    intervals = _violation_intervals(dyn, s_offset, window)
+    intervals, kinks = _violation_intervals(dyn, s_offset, window)
     if not intervals:
         return MeasureResult(0.0, (), "rhp-hou", note=f"s_offset={s_offset:g}")
-    zeros = _singular_times(dyn, (window[0], window[1] + s_offset))
-    pieces = [
-        np.array(sorted({a, b, *(z for z in zeros if a < z < b)})) for a, b in intervals
-    ]
+    zeros = _singular_times(dyn, window)
     vals, errs = _gauss_kronrod(
-        lambda t: np.arctan(_negativity(dyn, s_offset, t)), pieces, s_offset
+        lambda t: np.arctan(_negativity(dyn, s_offset, t)),
+        _pieces(intervals, zeros + list(kinks)), s_offset, zeros,
     )
     length = float(sum(b - a for a, b in intervals))
     return MeasureResult(
@@ -489,9 +536,9 @@ def rhp_divisibility_measure(
             "rhp-divisibility",
             note=f"eigenvalue zero at t={zeros[0]:.6g} makes the integral diverge",
         )
-    intervals = _violation_intervals(dyn, s_offset, window)
+    intervals, kinks = _violation_intervals(dyn, s_offset, window)
     vals, errs = _gauss_kronrod(
-        lambda t: _negativity(dyn, s_offset, t), [np.array(ab) for ab in intervals]
+        lambda t: _negativity(dyn, s_offset, t), _pieces(intervals, kinks)
     )
     return MeasureResult(
         float(sum(vals)),

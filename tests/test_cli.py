@@ -408,11 +408,13 @@ class TestMeasureWindowValidation:
         assert main(argv) == 2
         assert "non-empty and finite" in capsys.readouterr().err
 
-    def test_measures_do_not_import_numpy_ma(self, tmp_path):
+    # erlang:5:1 has enough eigenvalue zeros that np.isin took its sorting path
+    @pytest.mark.parametrize("wtd", ["erlang:2:1", "erlang:5:1"])
+    def test_measures_do_not_import_numpy_ma(self, tmp_path, wtd):
         out = tmp_path / "m.json"
         code = (
             "import sys; from smqdyn.cli import main; "
-            "code = main(['measures', '--channel', 'phaseflip', '--wtd', 'erlang:2:1', "
+            f"code = main(['measures', '--channel', 'phaseflip', '--wtd', {wtd!r}, "
             f"'--out', {str(out)!r}]); "
             "print(code, 'numpy.ma' in sys.modules)"
         )

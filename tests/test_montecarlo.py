@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from smqdyn.montecarlo import (
     sample_jump_count,
     simulate_two_state,
     trajectory_rng,
-    write_estimates_csv,
 )
 from smqdyn.renewal import even_odd_difference, generating_function, jump_probability
 from smqdyn.waiting_time import HypoExpWTD
@@ -548,14 +546,3 @@ class TestCoverage:
             hits += est.covers(target)
         assert hits >= 99
 
-
-class TestCsvInterface:
-    def test_schema_and_content(self):
-        ests = [Estimate(0.5, 0.01, 100), Estimate(0.25, 0.02, 100)]
-        cfg = SimConfig(n_traj=100, seed=7, horizon=4.0)
-        buf = io.StringIO()
-        write_estimates_csv(buf, "survival", [1.0, 2.0], ests, cfg)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t,quantity,mean,std_error,n_traj,seed"
-        assert lines[1] == "1,survival,0.5,0.01,100,7"
-        assert lines[2] == "2,survival,0.25,0.02,100,7"

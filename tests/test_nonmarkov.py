@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -16,10 +17,14 @@ from smqdyn.nonmarkov import (
     _GK_WEIGHTS,
     PairSearchConfig,
     _auto_window,
+    _choi_numerators,
+    _choi_weights,
     _gauss_kronrod,
     _negativity,
+    _pieces,
     _positive_variation,
     _singular_times,
+    _violated,
     _violation_intervals,
     blp_measure_dephasing,
     blp_measure_numeric,
@@ -600,6 +605,11 @@ def _scalar_negativity(dyn, s, t):
 class _ExactZeroDynamics:
     """Stand-in dynamics whose lam_x vanishes exactly at t = 1."""
 
+    # three distinct non-constant eigenvalues, as _choi_numerators reads them
+    generators = tuple(
+        types.SimpleNamespace(derivative=ExpPolyFunction.constant(k)) for k in (1.0, 2.0, 3.0)
+    )
+
     @staticmethod
     def lambdas(t):
         t = np.asarray(t, dtype=float)
@@ -683,7 +693,7 @@ class TestVectorisedMeasurePaths:
         ch, w = DIAGNOSTIC_SHAPES[shape]
         dyn = dynamics(ch, w)
         s, window = 1e-3 / max(w.rates), _window(dyn)
-        intervals = _violation_intervals(dyn, s, window)
+        intervals, _ = _violation_intervals(dyn, s, window)
         zeros = _singular_times(dyn, (0.0, window[1] + s))
         pieces = [np.unique([a, b] + [z for z in zeros if a < z < b]) for a, b in intervals]
         vals, errs = _gauss_kronrod(lambda t: np.arctan(_negativity(dyn, s, t)), pieces)
@@ -717,8 +727,9 @@ class TestVectorisedMeasurePaths:
 
 
 def _reference_violation_intervals(dyn, s, window):
-    """Reference: _violation_intervals refining the total negativity itself,
-    as it did before the signed negativity; brackets and midpoints are the same."""
+    """Reference: _violation_intervals refining the total negativity itself on
+    the cells of the pole grid where it crosses the floor, as it did before
+    the signed negativity and the Choi-weight numerators."""
     t0, t1 = window
     grid = pole_grid([g.value for g in dyn.generators], window, 400)
     floor = 1e-12
@@ -754,29 +765,70 @@ def _seeded_channel(seed):
     return ch, HypoExpWTD([rate, rate * float(rng.uniform(0.1, 0.6))])
 
 
+def _boundary_refinement(monkeypatch, dyn, s, window):
+    """Runs the violation search with a spy on its one refine_brackets call,
+    whose brackets are the kinks' and then the boundaries'.  Returns the
+    intervals, the boundary cells (lo, hi) and the boundary refinement
+    function, which maps one time per boundary cell to its value."""
+    seen = {}
+    refine = nonmarkov.refine_brackets
+
+    def spy(f, a, b, xtol):
+        seen.update(f=f, a=np.asarray(a, dtype=float), b=np.asarray(b, dtype=float))
+        return refine(f, a, b, xtol)
+
+    monkeypatch.setattr(nonmarkov, "refine_brackets", spy)
+    nonmarkov._violation_intervals.cache_clear()
+    intervals, kinks = _violation_intervals(dyn, s, window)
+    f, a, b, n = seen["f"], seen["a"], seen["b"], len(kinks)
+    return intervals, a[n:], b[n:], lambda t: f(np.concatenate([a[:n], t]))[n:]
+
+
 class TestFixedLagSearch:
     @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES))
-    def test_signed_refinement_matches_total_negativity_refinement(self, case):
+    def test_refinement_matches_total_negativity_refinement(self, case, monkeypatch):
         ch, w = FIXED_LAG_CASES[case]
         dyn = dynamics(ch, w)
         s, window = 1e-3 / max(w.rates), _window(dyn)
-        got = _violation_intervals(dyn, s, window)
+        got, lo, hi, margin = _boundary_refinement(monkeypatch, dyn, s, window)
         ref = _reference_violation_intervals(dyn, s, window)
         assert len(got) == len(ref)
         ends = np.array(got).ravel()
         # Within 1e-9, widened by the rounding band of a Choi weight (1e-15)
         # over the slope: at the onset of the ep violations near t = 0.007 the
         # slope is about 1e-9 and any root within 1e-6 is as good as another.
-        lo, hi = np.maximum(ends - 1e-7, 0.0), ends + 1e-7
-        slope = (
-            _negativity(dyn, s, hi, signed=True) - _negativity(dyn, s, lo, signed=True)
-        ) / (hi - lo)
+        # The slope is that of the refined function over |Q|, in the units of
+        # a weight, at the end in its cell; the window ends are not refined.
+        slope = np.full(ends.shape, np.inf)
+        for k, end in enumerate(ends):
+            cells = np.flatnonzero((lo <= end) & (end <= hi))
+            if end in window or not cells.size:
+                continue
+            c = cells[0]
+            t = np.full((2, lo.size), end)
+            t[:, c] += [-1e-7, 1e-7]
+            g = [margin(row)[c] / abs(_choi_numerators(dyn, s, row[c])[1]) for row in t]
+            slope[k] = (g[1] - g[0]) / 2e-7
         tol = 1e-9 + 1e-15 / np.abs(slope)
         assert np.all(np.abs(ends - np.array(ref).ravel()) <= tol)
 
-    @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES) + ["exact-zero"])
-    def test_signed_negativity_has_the_sign_of_the_negativity(self, case):
+    @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES))
+    def test_refinement_has_the_sign_of_the_negativity(self, case, monkeypatch):
+        # On every boundary cell, at 101 interior samples, the refined function
+        # times sign(Q) has the sign of the total negativity - CP_FLOOR.
         floor = 1e-12
+        ch, w = FIXED_LAG_CASES[case]
+        dyn = dynamics(ch, w)
+        s, window = 1e-3 / max(w.rates), _window(dyn)
+        _, lo, hi, margin = _boundary_refinement(monkeypatch, dyn, s, window)
+        for theta in np.linspace(0.0, 1.0, 103)[1:-1]:
+            t = lo + theta * (hi - lo)
+            q = _choi_numerators(dyn, s, t)[1]
+            total = _negativity(dyn, s, t)
+            assert np.array_equal(np.sign(margin(t) * q), np.sign(total - floor))
+
+    @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES) + ["exact-zero"])
+    def test_violated_is_the_negativity_above_the_floor(self, case):
         if case == "exact-zero":
             dyn, s, ts = _ExactZeroDynamics(), 0.3, np.linspace(0.0, 2.0, 4001)
         else:
@@ -786,26 +838,54 @@ class TestFixedLagSearch:
             zeros = _singular_times(dyn, (0.0, window[1] + s))
             near = np.array(zeros)[:, None] + np.array([-1e-9, 0.0, 1e-9])
             ts = np.sort(np.concatenate([np.linspace(*window, 20001), near.ravel()]))
-        signed = _negativity(dyn, s, ts, signed=True)
-        total = _negativity(dyn, s, ts)
-        assert np.array_equal(np.sign(signed - floor), np.sign(total - floor))
-        assert np.array_equal(signed[total > 0], total[total > 0])
-        assert np.all(signed[total == 0] < 0)
+        num, q, _ = _choi_numerators(dyn, s, ts)
+        assert np.all(np.isfinite(num))
+        assert np.array_equal(_violated(num, q), _negativity(dyn, s, ts) > 1e-12)
 
     def test_violation_search_evaluation_budget(self, monkeypatch, cold):
-        # Refining the total negativity took 110 calls here.
+        # Refining the total negativity took 110 calls here, and a signed
+        # negativity 31.
         ch, w = DIAGNOSTIC_SHAPES["phaseflip/conv:1,0.3"]
         dyn = dynamics(ch, w)
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return _negativity(*args, **kwargs)
+            return _choi_numerators(*args, **kwargs)
 
-        monkeypatch.setattr(nonmarkov, "_negativity", counted)
-        intervals = _violation_intervals(dyn, 1e-3 / max(w.rates), _window(dyn))
+        monkeypatch.setattr(nonmarkov, "_choi_numerators", counted)
+        intervals, _ = _violation_intervals(dyn, 1e-3 / max(w.rates), _window(dyn))
         assert len(intervals) == RECORDED_MEASURES["phaseflip/conv:1,0.3"][1][1]
-        assert len(calls) <= 40
+        assert len(calls) <= 15
+
+    @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES))
+    def test_pieces_split_at_every_sign_change_of_a_weight(self, case):
+        # A kink is a zero of some Choi weight, within the rounding band of
+        # its terms; between the breakpoints of the measures' pieces (ends,
+        # eigenvalue zeros and kinks) no weight changes sign, away from each
+        # breakpoint by the refinement's tolerance: within s/2 of a zero a
+        # weight's slope is of order 1e3, and on mix:0.9 a boundary and a kink
+        # lie within that tolerance of each other.
+        ch, w = FIXED_LAG_CASES[case]
+        dyn = dynamics(ch, w)
+        s, window = 1e-3 / max(w.rates), _window(dyn)
+        intervals, kinks = _violation_intervals(dyn, s, window)
+
+        def weights(t):
+            lam, later = np.moveaxis(dyn.lambdas(np.stack([t, t + s])), 1, 0)
+            return _choi_weights(lam, later), 1.0 + np.abs(later / lam).sum(axis=0)
+
+        mu, scale = weights(np.array(kinks))
+        assert np.all(np.abs(mu).min(axis=0) <= 1e-9 * scale)
+        theta = np.linspace(0.0, 1.0, 103)[1:-1]
+        for piece in _pieces(intervals, _singular_times(dyn, window) + list(kinks)):
+            for a, b in zip(piece[:-1], piece[1:]):
+                tol = 1e-12 + 8.9e-16 * abs(b)
+                if b - a <= 2.0 * tol:
+                    continue
+                mu, scale = weights(a + tol + theta * (b - a - 2.0 * tol))
+                signs = np.where(np.abs(mu) > 1e-12 * scale, np.sign(mu), 0.0)
+                assert np.all(signs.min(axis=1) * signs.max(axis=1) >= 0.0)
 
     def test_touching_violated_segments_are_one_interval(self, monkeypatch, cold):
         # A refined boundary inside a violation region (as a bracket holding
@@ -814,16 +894,18 @@ class TestFixedLagSearch:
         ch, w = DIAGNOSTIC_SHAPES["phaseflip/conv:1,0.3"]
         dyn = dynamics(ch, w)
         s, window = 1e-3 / max(w.rates), _window(dyn)
-        intervals = _violation_intervals(dyn, s, window)
+        intervals, _ = _violation_intervals(dyn, s, window)
         (a, b), inner = intervals[0], 0.5 * sum(intervals[0])
         refine = nonmarkov.refine_brackets
+        # The boundary brackets come last, after the kinks', so the appended
+        # root is a boundary.
         monkeypatch.setattr(
             nonmarkov, "refine_brackets", lambda *args: np.append(refine(*args), inner)
         )
         split = np.array([0.5 * (a + inner), 0.5 * (inner + b)])
         assert np.all(_negativity(dyn, s, split) > 1e-12)
         cold()
-        assert _violation_intervals(dyn, s, window) == intervals
+        assert _violation_intervals(dyn, s, window)[0] == intervals
 
     @pytest.mark.parametrize("seed", range(30))
     def test_singular_times_are_the_distinct_extrema_zero_crossings(self, seed, cold):
@@ -1019,6 +1101,22 @@ class TestBoundedQuadrature:
             total = sum(v for _, v in res.contributions)
             assert abs(total - SMALL_LAG_REFERENCES[lag]) <= quad_err
 
+    def test_kinked_pair_takes_few_rounds(self, monkeypatch):
+        # Where one weight of the pauli pair changes sign while another is
+        # about -1, the total negativity has a kink; unsplit, the quadrature
+        # bisected toward the kinks for 39 rounds.
+        ch, w = DIAGNOSTIC_SHAPES["pauli:0.3,0.3,0.1,0.3/erlang:2:1"]
+        hou_measure(ch, w)  # the searches, cached
+        rounds = []
+
+        def counted(*args):
+            rounds.append(1)
+            return _negativity(*args)
+
+        monkeypatch.setattr(nonmarkov, "_negativity", counted)
+        hou_measure(ch, w)
+        assert len(rounds) <= 15
+
     def test_unresolvable_integrand_raises_within_the_cap(self):
         # A period of 6e-12 on [0, 1]: the panel cap leaves most of the piece
         # on panels far wider than a period, so the error estimate stays O(1).
@@ -1042,6 +1140,6 @@ class TestBoundedQuadrature:
         exact = 2.0 * (math.atan(a) + 0.5 * a * math.log1p(1.0 / a**2))
         piece = [np.array([0.0, 1.0, 2.0])]
         (blind,), (blind_err,) = _gauss_kronrod(f, piece)
-        (got,), (err,) = _gauss_kronrod(f, piece, scale=s)
+        (got,), (err,) = _gauss_kronrod(f, piece, scale=s, singular=[1.0])
         assert abs(blind - exact) > max(blind_err, 0.5 * exact)
         assert abs(got - exact) <= err
