@@ -14,7 +14,7 @@ Spec syntaxes:
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import os
 import sys
@@ -24,8 +24,9 @@ import numpy as np
 
 from . import __version__
 
-# Every command runs these two layers; each imports the rest it runs
+# Every command runs these layers; each imports the rest it runs
 # (classical_semimarkov, qubit, nonmarkov) itself, so a process loads only those.
+from .poly_laplace import evaluate_all
 from .renewal import CP_FLOOR, even_odd_difference, find_extrema, generating_function
 from .waiting_time import HypoExpWTD
 
@@ -80,6 +81,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _fmt_all(x) -> list[str]:
+    """_fmt of every value of a 1-D array, in one formatting pass."""
+    return ("%.12g\n" * len(x) % tuple(x.tolist())).split("\n")[:-1]
+
+
+def _grid(start: float, stop: float, num: int) -> np.ndarray:
+    if num < 1 or not np.isfinite(stop - start):  # a nan or infinite bound
+        raise SpecParseError(
+            f"grid of {num} points over [{start}, {stop}] must be non-empty and finite"
+        )
+    return np.linspace(start, stop, num)
+
+
 def _config(args) -> dict:
     """The configuration echo: the command and every option but the output ones."""
     return {k: v for k, v in vars(args).items() if k not in ("func", "out", "format")}
@@ -99,9 +113,10 @@ def _emit_csv(path: str | None, args, header: list[str], rows) -> None:
     try:
         blob = json.dumps(_config(args), sort_keys=True, separators=(",", ":"))
         stream.write(f"# smqdyn {__version__} config={blob}\n")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        # Every field is a number or an empty cell of a multi-field row, so
+        # nothing needs quoting; every row has the header's width.
+        line = ",".join(["%s"] * len(header)) + "\n"
+        stream.write(line * (len(rows) + 1) % tuple(itertools.chain(header, *rows)))
     finally:
         if close:
             stream.close()
@@ -135,7 +150,7 @@ def cmd_kolmogorov(args) -> int:
     pi, sigma = (0.5, 0.5) if args.preset == "half" else (0.0, 1.0)
     spec = SemiMarkovSpec(pi, sigma, wtd)
     scale = wtd.rate_scale
-    lam_t = np.linspace(0.0, args.tmax, args.points)
+    lam_t = _grid(0.0, args.tmax, args.points)
     pairs = []
     for k in range(1, args.pairs + 1):
         d = k / args.pairs
@@ -146,13 +161,14 @@ def cmd_kolmogorov(args) -> int:
             )
         )
     report = witness_contractivity(spec, pairs, lam_t / scale)
+    t_str = _fmt_all(lam_t)
     if args.format == "json":
         payload = {
             "data": [
                 {
                     "pair_id": k,
-                    "t": [_fmt(x) for x in lam_t],
-                    "DK": [_fmt(x) for x in report.distances[k]],
+                    "t": t_str,
+                    "DK": _fmt_all(report.distances[k]),
                     "growth_intervals": [
                         [_fmt(a * scale), _fmt(b * scale)]
                         for a, b in report.growth_intervals[k]
@@ -163,10 +179,8 @@ def cmd_kolmogorov(args) -> int:
         }
         _emit_json(args.out, args, payload)
     else:
-        rows = []
-        for k in range(len(pairs)):
-            for x, dk in zip(lam_t, report.distances[k]):
-                rows.append([_fmt(x), k, _fmt(dk)])
+        dk_str = map(_fmt_all, report.distances)
+        rows = [[x, k, dk] for k, col in enumerate(dk_str) for x, dk in zip(t_str, col)]
         _emit_csv(args.out, args, ["t", "pair_id", "DK"], rows)
     return EXIT_OK
 
@@ -175,13 +189,13 @@ def cmd_qm(args) -> int:
     if args.m_min < 1 or args.m_max < args.m_min:
         raise SpecParseError("need 1 <= m-min <= m-max")
     ms = list(range(args.m_min, args.m_max + 1))
-    lam_t = np.linspace(0.0, args.tmax, args.points)
+    lam_t = _grid(0.0, args.tmax, args.points)
     columns = {}
     maxima_rows = []
     for m in ms:
         w = HypoExpWTD.erlang(m, args.rate)
         q = even_odd_difference(w)
-        columns[m] = np.abs(q(lam_t / args.rate))
+        columns[m] = _fmt_all(np.abs(q(lam_t / args.rate)))
         partial = 0.0
         for p in find_extrema(q, (0.0, args.tmax / args.rate)):
             if p.kind == "max":
@@ -194,8 +208,8 @@ def cmd_qm(args) -> int:
     if args.format == "json":
         payload = {
             "data": {
-                "t": [_fmt(x) for x in lam_t],
-                **{f"abs_q{m}": [_fmt(v) for v in columns[m]] for m in ms},
+                "t": _fmt_all(lam_t),
+                **{f"abs_q{m}": columns[m] for m in ms},
             },
             "maxima": [
                 {"m": r[0], "t_max": r[1], "height": r[2], "partial_sum": r[3]}
@@ -204,9 +218,7 @@ def cmd_qm(args) -> int:
         }
         _emit_json(args.out, args, payload)
         return EXIT_OK
-    rows = [
-        [_fmt(x)] + [_fmt(columns[m][i]) for m in ms] for i, x in enumerate(lam_t)
-    ]
+    rows = list(zip(_fmt_all(lam_t), *columns.values()))
     if args.out and args.out != "-":
         _emit_csv(args.out, args, header, rows)
         stem, ext = os.path.splitext(args.out)
@@ -219,8 +231,8 @@ def cmd_qm(args) -> int:
 
 
 def cmd_sign_scan(args) -> int:
-    xs = np.linspace(args.x_min, args.x_max, args.x_points)
-    lam_t = np.linspace(0.0, args.tmax, args.t_points)
+    xs = _grid(args.x_min, args.x_max, args.x_points)
+    lam_t = _grid(0.0, args.tmax, args.t_points)
     if args.mode == "qr":
         args.wtd = None  # not read in this mode, so echoed as null
         scale = args.rate
@@ -229,51 +241,31 @@ def cmd_sign_scan(args) -> int:
         wtd = parse_wtd_spec(args.wtd)
         scale = wtd.rate_scale
         fs = [generating_function(wtd, 1.0 - 2.0 * float(nu)).value for nu in xs]
-    rows = []
-    for x0, f in zip(xs, fs):
-        for x, v in zip(lam_t, f(lam_t / scale)):
-            rows.append([_fmt(x0), _fmt(x), 1 if v >= 0 else -1])
+    signs = np.where(evaluate_all(fs, lam_t / scale) >= 0, 1, -1).tolist()
+    x_str, t_str = _fmt_all(xs), _fmt_all(lam_t)
+    rows = [[x, t, s] for x, row in zip(x_str, signs) for t, s in zip(t_str, row)]
     _emit_table(args, ["x", "lambda_t", "sign"], rows)
     return EXIT_OK
 
 
 def cmd_tcl(args) -> int:
-    from .nonmarkov import tcl_coefficients, tcl_equivalence_check
+    from .nonmarkov import tcl_rates, tcl_residual
     from .qubit import QubitState
 
-    probes = [
-        QubitState.from_bloch(r)
-        for r in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.4, -0.5, 0.6])
-    ]
     ch = parse_channel_spec(args.channel)
     wtd = parse_wtd_spec(args.wtd)
     scale = wtd.rate_scale
-    lam_t = np.linspace(args.tmin, args.tmax, args.points)
-    rows = []
-    for x in lam_t:
-        co = tcl_coefficients(ch, wtd, float(x) / scale)
-        if co.singular:
-            rows.append([_fmt(x)] + [""] * 8 + [1])
-            continue
-        residual = max(tcl_equivalence_check(co, s) for s in probes)
-        rows.append(
-            [_fmt(x)]
-            + [_fmt(v / scale) for v in co.canonical]
-            + [_fmt(v / scale) for v in co.overcomplete]
-            + [_fmt(residual), 0]
-        )
-    header = [
-        "t",
-        "canon_x",
-        "canon_y",
-        "canon_z",
-        "over_dephasing",
-        "over_flip",
-        "over_x",
-        "over_y",
-        "residual",
-        "singular",
+    lam_t = _grid(args.tmin, args.tmax, args.points)
+    canonical, overcomplete, singular = tcl_rates(ch, wtd, lam_t / scale)
+    bloch = ([0, 0, 1], [1, 0, 0], [0.4, -0.5, 0.6])
+    residual = tcl_residual(canonical, overcomplete, map(QubitState.from_bloch, bloch))
+    table = [lam_t, *(canonical / scale), *(overcomplete / scale), residual]
+    rows = [
+        [t, *[""] * 8, 1] if sing else [t, *cells, 0]
+        for sing, t, *cells in zip(singular.tolist(), *map(_fmt_all, table))
     ]
+    header = ["t", "canon_x", "canon_y", "canon_z", "over_dephasing", "over_flip"]
+    header += ["over_x", "over_y", "residual", "singular"]
     _emit_table(args, header, rows)
     return EXIT_OK
 
@@ -284,17 +276,17 @@ def cmd_choi_scan(args) -> int:
     ch = parse_channel_spec(args.channel)
     wtd = parse_wtd_spec(args.wtd)
     scale = wtd.rate_scale
-    t_vals = np.linspace(0.0, args.tmax, args.t_points)
-    s_vals = np.linspace(0.0, args.smax, args.s_points)
+    t_vals = _grid(0.0, args.tmax, args.t_points)
+    s_vals = _grid(0.0, args.smax, args.s_points)
     scan = divisibility_scan(ch, wtd, t_vals / scale, s_vals / scale)
-    rows = []
-    for i, t in enumerate(t_vals):
-        for j, s in enumerate(s_vals):
-            if scan.singular_t[i]:
-                rows.append([_fmt(t), _fmt(s), "", 0, 1])
-            else:
-                v = scan.min_component[i, j]
-                rows.append([_fmt(t), _fmt(s), _fmt(v), -1 if v < -CP_FLOOR else 1, 0])
+    mins, s_str = scan.min_component, _fmt_all(s_vals)
+    signs = np.where(mins < -CP_FLOOR, -1, 1).tolist()
+    cells = zip(_fmt_all(t_vals), scan.singular_t.tolist(), map(_fmt_all, mins), signs)
+    rows = [
+        [t, s, "", 0, 1] if sing else [t, s, v, sign, 0]
+        for t, sing, row, row_signs in cells
+        for s, v, sign in zip(s_str, row, row_signs)
+    ]
     _emit_table(args, ["t", "s", "min_component", "sign", "singular"], rows)
     return EXIT_OK
 

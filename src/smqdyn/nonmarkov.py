@@ -39,8 +39,6 @@ from .renewal import (
 from .qubit import (
     PAULI_TRANSFORM,
     SIGMA,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     ChannelDynamics,
     PauliChannel,
     QubitState,
@@ -63,6 +61,9 @@ __all__ = [
     "rhp_divisibility_measure",
     "tcl_coefficients",
     "tcl_equivalence_check",
+    "tcl_generators",
+    "tcl_rates",
+    "tcl_residual",
 ]
 
 
@@ -565,44 +566,53 @@ class TCLCoefficients:
     overcomplete: tuple[float, float, float, float]
     singular: bool = False
 
-    def apply_canonical(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((2, 2), dtype=complex)
-        for g, s in zip(self.canonical, SIGMA[1:]):
-            out += g * (s @ rho @ s - rho)
-        return out
 
-    def apply_overcomplete(self, rho: np.ndarray) -> np.ndarray:
-        deph, flip, gx, gy = self.overcomplete
-        sp, sm = SIGMA_PLUS, SIGMA_MINUS
-        out = deph * (SIGMA[3] @ rho @ SIGMA[3] - rho)
-        out += flip * (sp @ rho @ sm + sm @ rho @ sp - rho)
-        out += gx * (SIGMA[1] @ rho @ SIGMA[1] - rho)
-        out += gy * (SIGMA[2] @ rho @ SIGMA[2] - rho)
-        return out
+# The overcomplete rates are these weights times the rows
+# (a_x + a_y - a_z, a_z, a_x - a_y, a_x - a_y).
+_OVERCOMPLETE_WEIGHTS = np.array([[-0.25], [-0.5], [0.25], [-0.25]])
+
+
+def tcl_rates(ch: PauliChannel, w: HypoExpWTD, t) -> tuple[np.ndarray, ...]:
+    """Both time-local rate sets at the 1-D times t: canonical (3, T) and
+    overcomplete (4, T), NaN where some lam_i = 0, and that mask (T,)."""
+    lam, lam_dot = dynamics(ch, w).lambda_table(t)
+    singular = (np.abs(lam) < 1e-14).any(axis=0)
+    a = lam_dot / np.where(singular, np.nan, lam)
+    ax, ay, az = a
+    canonical = 0.25 * (2.0 * a - a.sum(axis=0))
+    d = ax - ay
+    overcomplete = np.array([ax + ay - az, az, d, d]) * _OVERCOMPLETE_WEIGHTS
+    return canonical, overcomplete, singular
+
+
+def tcl_generators(canonical, overcomplete, rho: np.ndarray):
+    """Both generator forms applied to the 2x2 matrix rho at every time: two
+    (T, 2, 2) arrays from the (3, T) and (4, T) rates of tcl_rates."""
+    paulis = np.array(SIGMA[1:])
+    x, y, z = paulis @ rho @ paulis - rho
+    # sigma_+ rho sigma_- + sigma_- rho sigma_+ is diag(rho_11, rho_00), exactly
+    flip = np.diag(rho.diagonal()[::-1]) - rho
+    gx, gy, gz = canonical[:, :, None, None]
+    deph, fl, ox, oy = overcomplete[:, :, None, None]
+    return gx * x + gy * y + gz * z, deph * z + fl * flip + ox * x + oy * y
+
+
+def tcl_residual(canonical, overcomplete, states) -> np.ndarray:
+    """Max-norm difference of the two generator forms over the states, per time."""
+    forms = [tcl_generators(canonical, overcomplete, s.matrix()) for s in states]
+    return np.abs([c - o for c, o in forms]).max(axis=(0, 2, 3))
 
 
 def tcl_coefficients(ch: PauliChannel, w: HypoExpWTD, t: float) -> TCLCoefficients:
     """Both time-local rate sets at time t; flags times where some lam_i = 0."""
-    snap = dynamics(ch, w).snapshot(t)
-    lam = np.asarray(snap.lambda_t)
-    if np.any(np.abs(lam) < 1e-14):
-        nan = (math.nan,) * 3
-        return TCLCoefficients(t, nan, (math.nan,) * 4, singular=True)
-    a = np.asarray(snap.lambda_dot_t) / lam
-    canonical = tuple(float(0.25 * (2.0 * a[i] - a.sum())) for i in range(3))
-    overcomplete = (
-        float(-0.25 * (a[0] + a[1] - a[2])),
-        float(-0.5 * a[2]),
-        float(0.25 * (a[0] - a[1])),
-        float(-0.25 * (a[0] - a[1])),
-    )
-    return TCLCoefficients(t, canonical, overcomplete)
+    canonical, overcomplete, singular = tcl_rates(ch, w, [t])
+    rates = (tuple(r[:, 0].tolist()) for r in (canonical, overcomplete))
+    return TCLCoefficients(t, *rates, bool(singular[0]))
 
 
 def tcl_equivalence_check(coeffs: TCLCoefficients, rho: QubitState) -> float:
     """Max-norm difference of the two generator forms applied to rho."""
     if coeffs.singular:
         raise ValueError("rates are singular at this time")
-    m = rho.matrix()
-    diff = coeffs.apply_canonical(m) - coeffs.apply_overcomplete(m)
-    return float(np.max(np.abs(diff)))
+    rates = (np.array(r)[:, None] for r in (coeffs.canonical, coeffs.overcomplete))
+    return float(tcl_residual(*rates, [rho])[0])

@@ -52,10 +52,6 @@ SIGMA = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
-# The exchange pair of the overcomplete time-local form.
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_MINUS = SIGMA_PLUS.conj().T
-SIGMA_PLUS.flags.writeable = SIGMA_MINUS.flags.writeable = False
 
 
 class PositivityError(ValueError):
@@ -209,6 +205,13 @@ class ChannelDynamics:
 
     def lambda_dots(self, t):
         return evaluate_all([g.derivative for g in self._distinct], t)[self._rows]
+
+    def lambda_table(self, t) -> np.ndarray:
+        """lam and lam_dot stacked to (2, 3, len(t)) by the scalar evaluate, once
+        per distinct generator and time: the values snapshot gives, bit for bit."""
+        t = list(np.asarray(t, dtype=float))
+        table = [[[*map(g.value, t)], [*map(g.derivative, t)]] for g in self._distinct]
+        return np.array([table[i] for i in self._rows]).transpose(1, 0, 2)
 
     def snapshot(self, t: float) -> MapSnapshot:
         return MapSnapshot(

@@ -287,6 +287,11 @@ class TestMeasuresCommand:
 
 
 class TestDeterminismAndOutput:
+    def test_fmt_all_formats_like_fmt(self):
+        values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, 0.1 + 0.2, 1e17]
+        for x in (np.array(values), np.array([])):
+            assert cli._fmt_all(x) == [format(float(v), ".12g") for v in x]
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["qm", "--m-max", "4", "--points", "50"]
@@ -385,6 +390,24 @@ class TestDeterminismAndOutput:
         assert doc["config"]["mode"] == "qr"
 
 
+# Each table command with, per grid, the options of its bounds and of its count.
+GRIDS = [
+    (["kolmogorov", "--preset", "flip", "--wtd", "conv:1,0.3"], ["--tmax"], "--points"),
+    (["qm", "--m-max", "2"], ["--tmax"], "--points"),
+    (["signscan", "--mode", "qr", "--x-min", "0.02", "--x-max", "7"], ["--tmax"], "--t-points"),
+    (["signscan", "--mode", "nu", "--x-min", "0", "--x-max", "1"], ["--x-max"], "--x-points"),
+    (["tcl", "--channel", "ep", "--wtd", "conv:1,0.14"], ["--tmin", "--tmax"], "--points"),
+    (["choiscan", "--channel", "ep", "--wtd", "conv:1,0.14"], ["--tmax"], "--t-points"),
+    (["choiscan", "--channel", "ep", "--wtd", "conv:1,0.14"], ["--smax"], "--s-points"),
+]
+EMPTY_OR_NON_FINITE_GRIDS = [
+    base + [f"{bound}={value}"]
+    for base, bounds, _ in GRIDS
+    for bound in bounds
+    for value in ("nan", "inf", "-inf")
+] + [base + [count, "0"] for base, _, count in GRIDS]
+
+
 class TestMeasureWindowValidation:
     @pytest.mark.parametrize(
         "extra, message",
@@ -402,11 +425,11 @@ class TestMeasureWindowValidation:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("extra", [["--t-points", "0"], ["--tmax", "nan"]])
-    def test_empty_or_nan_scan_is_a_spec_error(self, extra, capsys):
-        argv = ["choiscan", "--channel", "ep", "--wtd", "conv:1,0.14"] + extra
+    @pytest.mark.parametrize("argv", EMPTY_OR_NON_FINITE_GRIDS, ids=" ".join)
+    def test_empty_or_nan_scan_is_a_spec_error(self, argv, capsys):
         assert main(argv) == 2
-        assert "non-empty and finite" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and "non-empty and finite" in err and "Traceback" not in err
 
     # erlang:5:1 has enough eigenvalue zeros that np.isin took its sorting path
     @pytest.mark.parametrize("wtd", ["erlang:2:1", "erlang:5:1"])

@@ -34,6 +34,9 @@ from smqdyn.nonmarkov import (
     rhp_divisibility_measure,
     tcl_coefficients,
     tcl_equivalence_check,
+    tcl_generators,
+    tcl_rates,
+    tcl_residual,
     trace_distance,
 )
 from smqdyn.qubit import (
@@ -382,10 +385,10 @@ class TestTclCoefficients:
         assert worst < 1e-10
 
     def test_maximally_mixed_state_is_annihilated(self):
-        co = tcl_coefficients(FIG3_CHANNEL, FIG3_WTD, 2.0)
+        canonical, overcomplete, _ = tcl_rates(FIG3_CHANNEL, FIG3_WTD, [2.0])
         mixed = QubitState.maximally_mixed().matrix()
-        assert np.max(np.abs(co.apply_canonical(mixed))) < 1e-14
-        assert np.max(np.abs(co.apply_overcomplete(mixed))) < 1e-14
+        for form in tcl_generators(canonical, overcomplete, mixed):
+            assert np.max(np.abs(form)) < 1e-14
 
     def test_sign_pattern_window(self):
         """All canonical rates nonnegative while one overcomplete rate is
@@ -401,6 +404,30 @@ class TestTclCoefficients:
         co = tcl_coefficients(FIG3_CHANNEL, FIG3_WTD, 4.0)
         assert co.overcomplete[2] == pytest.approx(-co.overcomplete[3], abs=1e-14)
         assert co.overcomplete[2] != 0.0
+
+    @pytest.mark.parametrize(
+        "ch, w", [(PHASEFLIP, ERLANG2), (FIG3_CHANNEL, FIG3_WTD)], ids=["pf", "fig3"]
+    )
+    def test_array_path_matches_scalar_bit_for_bit(self, ch, w):
+        t = np.sort(np.append(np.linspace(0.05, 12.0, 299), 3 * math.pi / 4))
+        canonical, overcomplete, singular = tcl_rates(ch, w, t)
+        probes = [PLUS, QubitState.from_bloch([0.4, -0.5, 0.6])]
+        residual = tcl_residual(canonical, overcomplete, probes)
+
+        def bits(x):
+            return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+        for i, ti in enumerate(t.tolist()):
+            co = tcl_coefficients(ch, w, ti)
+            assert co.singular == singular[i]
+            assert bits(co.canonical) == bits(canonical[:, i])
+            assert bits(co.overcomplete) == bits(overcomplete[:, i])
+            if co.singular:
+                assert np.isnan(co.canonical + co.overcomplete).all()
+                continue
+            scalar = max(tcl_equivalence_check(co, s) for s in probes)
+            assert bits(scalar) == bits(residual[i])
+        assert singular.sum() == (ch is PHASEFLIP)
 
     def test_equivalence_check_rejects_singular(self):
         co = tcl_coefficients(PHASEFLIP, ERLANG2, 3 * math.pi / 4)
