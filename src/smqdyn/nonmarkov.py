@@ -316,17 +316,24 @@ def _choi_numerators(dyn: ChannelDynamics, s: float, t):
     sign(N) sign(Q).  With a factor per axis, a shared eigenvalue's zeros
     would stay in N.
     """
-    gens = dyn.generators
-    first = [gens.index(g) for g in gens]
-    factors = [i for i in dict.fromkeys(first) if not gens[i].derivative.is_zero()]
+    factors, others = _factor_plan(dyn)
     lam, later = np.moveaxis(dyn.lambdas(np.stack([t, t + s])), 1, 0)
     q = np.prod(lam[factors], axis=0)
-    terms = np.stack([later[i] * np.prod(lam[[j for j in factors if j != k]], axis=0)
-                      for i, k in enumerate(first)])
+    terms = np.stack([later[i] * np.prod(lam[o], axis=0) for i, o in enumerate(others)])
     del lam, later  # freed before the numerators are built
     num = np.tensordot(PAULI_TRANSFORM[:, 1:], terms, axes=1) + q
     num *= 0.25
     return num, q, 0.25 * (np.abs(terms).sum(axis=0) + np.abs(q))
+
+
+@lru_cache(maxsize=128)
+def _factor_plan(dyn: ChannelDynamics) -> tuple[list[int], tuple[list[int], ...]]:
+    """Factor axes of _choi_numerators and, per axis, the factors not its own
+    (lists, to index with; cached and shared, so read only)."""
+    gens = dyn.generators
+    first = [gens.index(g) for g in gens]
+    factors = [i for i in dict.fromkeys(first) if not gens[i].derivative.is_zero()]
+    return factors, tuple([j for j in factors if j != k] for k in first)
 
 
 def _violated(num: np.ndarray, q: np.ndarray) -> np.ndarray:

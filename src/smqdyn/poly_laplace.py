@@ -398,17 +398,17 @@ def invert_laplace(r: RationalLaplace) -> ExpPolyFunction:
 
 
 def evaluate(f: ExpPolyFunction, t):
-    """Real value of ``f`` at time(s) t >= 0.
+    """Real value of ``f`` at finite time(s) t >= 0, else ValueError.
 
     Raises AccuracyError if the imaginary part exceeds IMAG_PART_CAP*(1+|Re|):
     that indicates a pole set not closed under conjugation.  A scalar t takes
     a plain-Python term loop, which avoids numpy's per-call overhead.
     """
-    if np.ndim(t) != 0:
+    if not isinstance(t, float) and np.ndim(t) != 0:
         return evaluate_all((f,), t)[0]
     x = float(t)
-    if x < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0.0 <= x < math.inf:
+        raise ValueError("time must be nonnegative and finite")
     val = 0j
     for pole, coeffs in f.terms:
         poly = 0j
@@ -427,32 +427,41 @@ _CHUNK = 2**12
 
 
 def evaluate_all(fs: Sequence[ExpPolyFunction], t):
-    """Real values of several functions at times t >= 0, in one array pass.
+    """Real values of several functions at times t, in one elementwise pass.
 
-    Returns shape (len(fs),) + shape(t); the checks are those of evaluate.
+    Returns shape (len(fs),) + shape(t); the checks are those of evaluate.  A
+    time's values have the same bits whatever other times are evaluated with it.
     """
     ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0):
-        raise ValueError("time must be nonnegative")
+    if ts.size and not (ts.min() >= 0.0 and ts.max() < math.inf):
+        raise ValueError("time must be nonnegative and finite")
+    if len(fs) == 0:
+        return np.empty((0,) + ts.shape)
     return _term_sums(*_stacked_terms(tuple(fs)), ts)
 
 
 def _term_sums(poles, coeffs, ts: np.ndarray):
     # Real part of sum_j (sum_k coeffs[f, j, k] t^k) exp(poles[f, j] t) for
-    # each f, by Horner; complex sums pass evaluate's realness check per chunk.
+    # each f, by Horner from the leading coefficient (+ 0.0 makes a -0 part +0,
+    # as 0*t + c does), adding the terms in order (numpy's sum adds a lone time's
+    # pairwise).  Complex sums pass evaluate's realness check per chunk, element
+    # by element only if the largest |imag| (or a NaN) is not within the cap.
     x = ts.ravel()
     out = np.empty((len(poles), x.size))
     chunk = max(1, _CHUNK // poles.size)  # bounds the (F, M, n) temporaries
     for lo in range(0, x.size, chunk):
         xc = x[lo : lo + chunk]
-        poly = np.zeros(poles.shape + xc.shape, dtype=coeffs.dtype)
-        for k in range(coeffs.shape[-1] - 1, -1, -1):
+        poly = coeffs[:, :, -1, None] + 0.0
+        for k in range(coeffs.shape[-1] - 2, -1, -1):
             poly = poly * xc + coeffs[:, :, k, None]
-        val = (poly * np.exp(poles[:, :, None] * xc)).sum(axis=1)
+        terms = poly * np.exp(poles[:, :, None] * xc)
+        val = terms[:, 0]
+        for j in range(1, terms.shape[1]):
+            val = val + terms[:, j]
         if np.iscomplexobj(val):
-            bad = np.abs(val.imag) > IMAG_PART_CAP * (1.0 + np.abs(val.real))
-            if np.any(bad):
-                worst = np.max(np.abs(val.imag))
+            worst = np.abs(val.imag).max()
+            if not worst <= IMAG_PART_CAP and np.any(
+                    np.abs(val.imag) > IMAG_PART_CAP * (1.0 + np.abs(val.real))):
                 raise AccuracyError(
                     f"evaluation is not real within tolerance (|imag| up to {worst:g})"
                 )

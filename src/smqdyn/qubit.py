@@ -198,10 +198,11 @@ class ChannelDynamics:
         # evaluate_all sums each row alone, so the rows are bit-identical.
         self._distinct = list(dict.fromkeys(self.generators))
         self._rows = [self._distinct.index(g) for g in self.generators]
+        self._values = tuple(g.value for g in self._distinct)
 
     def lambdas(self, t):
         """Array of shape (3,) + shape(t) with lam_x, lam_y, lam_z."""
-        return evaluate_all([g.value for g in self._distinct], t)[self._rows]
+        return evaluate_all(self._values, t)[self._rows]
 
     def lambda_dots(self, t):
         return evaluate_all([g.derivative for g in self._distinct], t)[self._rows]

@@ -281,20 +281,22 @@ def runs(flags) -> tuple[np.ndarray, np.ndarray]:
     return edges[::2], edges[1::2]
 
 
-def refine_brackets(f, a, b, xtol: float) -> np.ndarray:
+def refine_brackets(f, a, b, xtol: float, fa=None, fb=None) -> np.ndarray:
     """Sign-change points of f inside every bracket [a_k, b_k] at once.
 
     f maps an array of times, one per bracket, to the values of the function
-    each bracket belongs to.  All brackets step together by the Illinois
-    variant of regula falsi, with a bisection step wherever two steps failed
-    to halve a bracket, until each is narrower than xtol + 8.9e-16*|t| (the
-    termination rule of scipy's brentq); the midpoint is returned.
+    each bracket belongs to; fa and fb, if given, are f(a) and f(b), such as
+    the grid samples of an elementwise f.  All brackets step together by the
+    Illinois variant of regula falsi, with a bisection step wherever two steps
+    failed to halve a bracket, until each is narrower than xtol + 8.9e-16*|t|
+    (the termination rule of scipy's brentq); the midpoint is returned.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     if a.size == 0:
         return a
-    fa, fb = np.asarray(f(a), dtype=float), np.asarray(f(b), dtype=float)
+    fa = np.asarray(f(a) if fa is None else fa, dtype=float)
+    fb = np.asarray(f(b) if fb is None else fb, dtype=float)
     side = np.zeros(a.shape)  # end moved last: -1 for a, +1 for b
     old = prev = np.full(a.shape, np.inf)
     while True:
@@ -308,7 +310,7 @@ def refine_brackets(f, a, b, xtol: float) -> np.ndarray:
             c = (a * fb - b * fa) / (fb - fa)
         c = np.where(np.isfinite(c) & (width <= 0.5 * old), c, m)
         # At least tol/2 inside, so a root near one end closes the bracket.
-        c = np.where(active, np.clip(c, a + 0.5 * tol, b - 0.5 * tol), m)
+        c = np.where(active, np.minimum(np.maximum(c, a + 0.5 * tol), b - 0.5 * tol), m)
         fc = np.asarray(f(c), dtype=float)
         left = active & ((fc > 0) == (fa > 0))
         right = active & ~left
@@ -343,7 +345,7 @@ def _extrema(f: ExpPolyFunction, window: tuple[float, float]) -> tuple:
     dv = df(grid)
     scale = float(np.max(np.abs(f(grid)))) or 1.0
     i, j = sign_brackets(dv, df.envelope(grid))
-    stat = refine_brackets(df, grid[i], grid[j], xtol=1e-14)
+    stat = refine_brackets(df, grid[i], grid[j], 1e-14, dv[i], dv[j])
     stat = stat[(t0 < stat) & (stat < T)]
     vals = f(stat)
     curv = df.differentiate()(stat)
@@ -372,8 +374,9 @@ def find_zeros(f: ExpPolyFunction, window: tuple[float, float]) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _zeros(f: ExpPolyFunction, window: tuple[float, float]) -> np.ndarray:
     grid = pole_grid([f], window, 100)
-    i, j = sign_brackets(f(grid), f.envelope(grid))
-    z = refine_brackets(f, grid[i], grid[j], xtol=1e-14)
+    fv = f(grid)
+    i, j = sign_brackets(fv, f.envelope(grid))
+    z = refine_brackets(f, grid[i], grid[j], 1e-14, fv[i], fv[j])
     z = z[(grid[0] < z) & (z < grid[-1])]
     z.setflags(write=False)
     return z

@@ -1,10 +1,14 @@
-"""Byte-exact stdout of every table command at small sizes, in CSV and JSON.
+"""Byte-exact stdout of every table command at small sizes, in CSV and JSON,
+and the `measures` summary to 1e-10.
 
 The files under ``golden/`` hold the output these commands printed before
 their tables were vectorised; any change to a digit, a signed zero or an
-empty cell shows here.
+empty cell shows here.  The measures files were recorded before the
+evaluation kernel and root refinement were trimmed.
 """
 
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,37 @@ def test_table_output_is_byte_identical(name, fmt, capsys):
     assert main(CASES[name] + ["--format", fmt]) == 0
     expected = (GOLDEN / f"{name}.{fmt}").read_text()
     assert capsys.readouterr().out == expected
+
+
+MEASURES = {
+    "measures_phaseflip": ["--channel", "phaseflip", "--wtd", "conv:1,0.3"],
+    "measures_ep": ["--channel", "ep", "--wtd", "conv:1,0.14"],
+    "measures_pauli": ["--channel", "pauli:0.3,0.3,0.1,0.3", "--wtd", "erlang:2:1"],
+}
+
+
+def _assert_close(got, want, where):
+    """Same keys and lengths, numbers within 1e-10 relative (the files print
+    full reprs, whose last bits may differ on other CPUs), and notes equal up
+    to the quadrature error estimate."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{k}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert math.isclose(got, want, rel_tol=1e-10, abs_tol=0.0), (where, got, want)
+    elif where.endswith(".note"):
+        assert got.split("quad_err=")[0] == want.split("quad_err=")[0], where
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_measures_summary_matches_golden(name, capsys):
+    assert main(["measures"] + MEASURES[name]) == 0
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    _assert_close(json.loads(capsys.readouterr().out), expected, name)

@@ -1016,9 +1016,9 @@ def _searched(monkeypatch):
             window[0] = tuple(win)
             return grid(fs, win, n_min)
 
-        def counted(f, a, b, xtol, refine=module.refine_brackets, name=name):
+        def counted(f, a, b, xtol, *ends, refine=module.refine_brackets, name=name):
             calls.append((name or f, window[0]))
-            return refine(f, a, b, xtol)
+            return refine(f, a, b, xtol, *ends)
 
         monkeypatch.setattr(module, "pole_grid", gridded)
         monkeypatch.setattr(module, "refine_brackets", counted)

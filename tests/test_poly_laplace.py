@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smqdyn.poly_laplace import (
+    IMAG_PART_CAP,
     AccuracyError,
     ExpPolyFunction,
     ImproperRationalError,
@@ -162,11 +163,19 @@ class TestEvaluate:
         bound = 4.0 * np.finfo(float).eps * f.envelope(ts)
         assert np.all(np.abs(np.array(scalar) - evaluate(f, ts)) <= bound)
 
-    @pytest.mark.parametrize("t", [-0.5, np.array([0.0, -0.5])])
+    @pytest.mark.parametrize(
+        "t",
+        [-0.5, np.array([0.0, -0.5])]
+        + [x for bad in (math.nan, math.inf, -math.inf) for x in (bad, np.array([0.0, bad]))],
+    )
     def test_negative_time_rejected_on_both_paths(self, t):
         f = invert_laplace(rational([1.0], [2.0, 1.0]))
-        with pytest.raises(ValueError, match="time must be nonnegative"):
+        with pytest.raises(ValueError, match="time must be nonnegative and finite"):
             evaluate(f, t)
+
+    @pytest.mark.parametrize("t", [2.0, np.linspace(0.0, 1.0, 6).reshape(2, 3)])
+    def test_no_functions_give_an_empty_stack(self, t):
+        assert evaluate_all([], t).shape == (0,) + np.shape(t)
 
     @pytest.mark.parametrize("t", [1.0, np.array([0.0, 1.0])])
     def test_unpaired_pole_rejected_on_both_paths(self, t):
@@ -183,6 +192,44 @@ class TestEvaluate:
             assert np.array_equal(row, _term_loop(f.terms, ts).real)
             abs_terms = [(p.real, [abs(c) for c in cs]) for p, cs in f.terms]
             assert np.array_equal(f.envelope(ts), _term_loop(abs_terms, ts))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_negative_zero_parts_match_term_loop_at_time_zero(self, order):
+        # -exp(-t) sin(t) (order 1, plus 0.5 t times it for order 2) with
+        # coefficients whose real parts are -0.  Horner from a zero array turns
+        # them into +0; a start that kept them would return -0 at t = 0.
+        cs = [complex(-0.0, 0.5), complex(-0.0, 0.25)][:order]
+        f = ExpPolyFunction(
+            [((-1.0 + 1.0j), cs), ((-1.0 - 1.0j), [c.conjugate() for c in cs])]
+        )
+        ts = np.zeros(3)
+        assert evaluate_all([f], ts)[0].tobytes() == _term_loop(f.terms, ts).real.tobytes()
+
+    def test_imaginary_part_is_judged_against_its_own_real_part(self):
+        # The row of 100 + b i carries |imag| = b > IMAG_PART_CAP, so the chunk
+        # takes the elementwise test: b up to IMAG_PART_CAP (1 + 100) passes.
+        bound = IMAG_PART_CAP * (1.0 + 100.0)
+        ts = np.linspace(0.0, 3.0, 7)
+        within = ExpPolyFunction.constant(complex(100.0, bound))
+        got = evaluate_all([EVAL_CASES["decay"], within], ts)
+        assert np.array_equal(got[1], np.full(7, 100.0))
+        past = ExpPolyFunction.constant(complex(100.0, np.nextafter(bound, 1.0)))
+        with pytest.raises(AccuracyError, match="not real within tolerance"):
+            evaluate_all([EVAL_CASES["decay"], past], ts)
+
+    def test_a_time_alone_has_the_bits_of_its_grid_sample(self):
+        # Six terms: numpy's sum would add a lone time's terms pairwise, and
+        # the root refinement reuses grid samples as bracket end values.
+        f = ExpPolyFunction([
+            (-0.5, [1.0]), (-1.3, [0.3, 0.2]),
+            (-0.7 + 2.0j, [0.4 - 0.1j]), (-0.7 - 2.0j, [0.4 + 0.1j]),
+            (-2.0 + 0.5j, [0.1 + 0.3j, 0.05j]), (-2.0 - 0.5j, [0.1 - 0.3j, -0.05j]),
+        ])
+        assert len(f.terms) == 6
+        grid = np.linspace(0.0, 8.0, 801)
+        for g in (f, f.differentiate(), f.envelope):
+            alone = np.concatenate([g(grid[k : k + 1]) for k in range(0, 801, 20)])
+            assert alone.tobytes() == g(grid)[::20].tobytes()
 
 
 class TestDifferentiate:

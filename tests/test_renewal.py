@@ -421,6 +421,20 @@ class TestRefineBrackets:
     def test_empty_bracket_set(self):
         assert refine_brackets(np.sin, [], [], xtol=1e-14).size == 0
 
+    def test_grid_end_values_leave_every_bit(self):
+        # lam_-0.3 of erlang:5 has five terms, and a lone bracket evaluates its
+        # ends one time at a time: the grid samples must be those values.  (A
+        # kernel that summed a lone time's terms pairwise moved the third root.)
+        f = generating_function(HypoExpWTD.erlang(5, 1.0), -0.3).value
+        grid = np.linspace(0.0, 30.0, 101)
+        fv = f(grid)
+        i, j = sign_brackets(fv, f.envelope(grid))
+        assert len(f.terms) == 5 and len(i) > 2
+        for k in [slice(None)] + [slice(n, n + 1) for n in range(len(i))]:
+            a, b = grid[i][k], grid[j][k]
+            ends = refine_brackets(f, a, b, 1e-14, fv[i][k], fv[j][k])
+            assert ends.tobytes() == refine_brackets(f, a, b, 1e-14).tobytes()
+
     def test_rounding_level_samples_carry_no_sign(self):
         values = np.array([1.0, 1e-20, -1e-20, 1.0, -1.0])
         i, j = sign_brackets(values, np.ones(5))
