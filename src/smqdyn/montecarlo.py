@@ -13,6 +13,7 @@ counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -78,11 +79,18 @@ _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # Weyl key increments
 
 
 def _mulhi(m: np.uint64, x: np.ndarray) -> np.ndarray:
-    """High words of the 128-bit products m * x, built from 32-bit halves."""
-    x_lo, x_hi = x & _MASK32, x >> _S32
-    t = ((x_lo * (m & _MASK32)) >> _S32) + x_lo * (m >> _S32)
-    u = (t & _MASK32) + x_hi * (m & _MASK32)
-    return x_hi * (m >> _S32) + (t >> _S32) + (u >> _S32)
+    """High words of the 128-bit products m * x, built in place on 32-bit halves."""
+    m_lo, m_hi = m & _MASK32, m >> _S32
+    lo, hi = x & _MASK32, x >> _S32
+    t = lo * m_lo
+    t >>= _S32
+    t += np.multiply(lo, m_hi, out=lo)  # x_lo * m_hi plus a carry: below 2**64
+    u = np.bitwise_and(t, _MASK32, out=lo)
+    u += hi * m_lo
+    hi *= m_hi
+    hi += np.right_shift(t, _S32, out=t)
+    hi += np.right_shift(u, _S32, out=u)
+    return hi
 
 
 def _philox_random(seed: int, index: np.ndarray, start, count: int) -> np.ndarray:
@@ -95,17 +103,30 @@ def _philox_random(seed: int, index: np.ndarray, start, count: int) -> np.ndarra
     seed, index = int(seed), np.asarray(index, dtype=_U)
     start = np.asarray(start, dtype=_U) + np.zeros_like(index)
     skip = (start % _U(4)).astype(np.intp)  # words of the first block before start
-    width = (int(skip.max(initial=0)) + count + 3) // 4  # blocks the widest row spans
-    x0 = (start // _U(4) + _U(1))[:, None] + np.arange(width, dtype=_U)
-    x1 = x2 = x3 = np.zeros_like(x0)
-    for r in range(10):
-        k0, k1 = _U((seed + r * _W0) % 2**64), index[:, None] + _U(r * _W1 % 2**64)
+    skip_min, skip_max = int(skip.min(initial=3)), int(skip.max(initial=0))  # 0..3
+    width = (skip_max + count + 3) // 4  # blocks the widest row spans
+    ctr = (start // _U(4) + _U(1))[:, None] + np.arange(width, dtype=_U)
+    key = np.repeat(index, width).reshape(ctr.shape)  # second key word, per block
+    # Rounds 1 and 2 in closed form.  The block enters as (ctr, 0, 0, 0), so
+    # round 1 leaves (seed, 0, y, ctr * M0) with y = mulhi(M0, ctr) ^ key, and
+    # in round 2 M0 meets only the seed: a scalar product.
+    y = _mulhi(_M0, ctr) ^ key
+    seed_hi, seed_lo = divmod(seed * int(_M0), 2**64)
+    key += _U(_W1)
+    x0, x1 = _mulhi(_M1, y) ^ _U((seed + _W0) % 2**64), y * _M1
+    x2, x3 = ctr * _M0 ^ key ^ _U(seed_hi), _U(seed_lo)
+    for r in range(2, 10):
+        key += _U(_W1)
         x0, x1, x2, x3 = (
-            _mulhi(_M1, x2) ^ x1 ^ k0, x2 * _M1, _mulhi(_M0, x0) ^ x3 ^ k1, x0 * _M0
+            _mulhi(_M1, x2) ^ x1 ^ _U((seed + r * _W0) % 2**64), x2 * _M1,
+            _mulhi(_M0, x0) ^ x3 ^ key, x0 * _M0,
         )
-    words = np.stack([x0, x1, x2, x3], axis=-1).reshape(len(index), 4 * x0.shape[1])
-    cols = skip[:, None] + np.arange(count)
-    return (np.take_along_axis(words, cols, axis=1) >> _U(11)) * 2.0**-53
+    words = np.stack([x0, x1, x2, x3], axis=-1).reshape(len(index), 4 * width)
+    if skip_min == skip_max:  # every row starts at the same word
+        words = words[:, skip_min : skip_min + count]
+    else:
+        words = np.take_along_axis(words, skip[:, None] + np.arange(count), axis=1)
+    return (words >> _U(11)) * 2.0**-53
 
 
 def _jump_counts(w: HypoExpWTD, times, horizon: float, draws):
@@ -120,14 +141,18 @@ def _jump_counts(w: HypoExpWTD, times, horizon: float, draws):
     x, s = horizon / w.mean, w.n_stages
     block = max(int(x + 8.0 * np.sqrt(x + 1.0)) + 4, 8)
     head = int(x + 2.0 * np.sqrt(x + 1.0)) + 2
+    times, neg_rates = np.asarray(times, dtype=float)[:, None], -np.asarray(w.rates)
 
-    def waits(rows, first, width):
-        u = draws(rows, first * s, width * s).reshape(-1, width, s)
-        return (-np.log1p(-u) / np.asarray(w.rates)).sum(axis=2)
+    def waits(rows, first, width):  # log1p(-u) / -rate: the bits of -log1p(-u) / rate
+        u = -draws(rows, first * s, width * s).reshape(-1, width, s)
+        u = np.divide(np.log1p(u, out=u), neg_rates, out=u)
+        if s >= 8:  # numpy's order: pairwise from 8 stages, one after another below
+            return u.sum(axis=2)
+        return functools.reduce(np.add, np.moveaxis(u, 2, 0))
 
     def extend(rows, new):  # from the last jump on, so sums stay bitwise sequential
         jumps = np.cumsum(np.hstack([last[rows, None], new]), axis=1)[:, 1:]
-        counts[rows] += (jumps[:, :, None] <= times).sum(axis=1)
+        counts[rows] += (jumps[:, None, :] <= times).sum(axis=2)
         last[rows] = jumps[:, -1]
 
     new = waits(slice(None), 0, head)

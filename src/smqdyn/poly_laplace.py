@@ -292,7 +292,7 @@ class ExpPolyFunction:
     def envelope(self, t):
         """Coefficient-absolute bound sum |c_k| t^k e^{Re p t} at time(s) t."""
         poles, coeffs = _stacked_terms((self,))
-        acc = _term_sums(poles.real, np.abs(coeffs), np.asarray(t, dtype=float))[0]
+        acc = _term_sums(poles.real, np.abs(coeffs), _checked_times(t))[0]
         return float(acc) if np.ndim(t) == 0 else acc
 
     def tail_envelope_integral(self, start: float) -> float:
@@ -426,15 +426,20 @@ def evaluate(f: ExpPolyFunction, t):
 _CHUNK = 2**12
 
 
+def _checked_times(t) -> np.ndarray:
+    ts = np.asarray(t, dtype=float)
+    if ts.size and not (ts.min() >= 0.0 and ts.max() < math.inf):
+        raise ValueError("time must be nonnegative and finite")
+    return ts
+
+
 def evaluate_all(fs: Sequence[ExpPolyFunction], t):
     """Real values of several functions at times t, in one elementwise pass.
 
     Returns shape (len(fs),) + shape(t); the checks are those of evaluate.  A
     time's values have the same bits whatever other times are evaluated with it.
     """
-    ts = np.asarray(t, dtype=float)
-    if ts.size and not (ts.min() >= 0.0 and ts.max() < math.inf):
-        raise ValueError("time must be nonnegative and finite")
+    ts = _checked_times(t)
     if len(fs) == 0:
         return np.empty((0,) + ts.shape)
     return _term_sums(*_stacked_terms(tuple(fs)), ts)

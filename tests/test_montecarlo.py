@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import smqdyn.montecarlo as mc
 from smqdyn.classical_semimarkov import ProbabilityVector, SemiMarkovSpec, propagator
@@ -17,6 +19,7 @@ from smqdyn.montecarlo import (
 from smqdyn.renewal import even_odd_difference, generating_function, jump_probability
 from smqdyn.waiting_time import HypoExpWTD
 
+U64 = st.integers(0, 2**64 - 1)
 ERLANG2 = HypoExpWTD.erlang(2, 1.0)
 EXP1 = HypoExpWTD.exponential(1.0)
 TIMES = [0.5, 2.0, 5.0, 9.0]
@@ -298,11 +301,31 @@ class TestBatchedStreams:
         monkeypatch.setattr(mc, "_mulhi", spy)
         index = np.array([0, 5, 2**40], dtype=np.uint64)
         got = mc._philox_random(31, index, start, count)
-        assert len(shapes) == 20  # two products in each of ten rounds
+        assert len(shapes) == 18  # two per round, one each in closed-form rounds 1, 2
         assert set(shapes) == {(3, math.ceil((start % 4 + count) / 4))}
         for row, i in zip(got, index):
             rng = trajectory_rng(31, int(i))
             assert np.array_equal(row, rng.random(start + count)[start:])
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(
+        seed=U64,
+        rows=st.lists(st.tuples(U64, st.integers(0, 60)), max_size=5),
+        shared=st.none() | st.integers(0, 60),
+        count=st.integers(0, 40),
+    )
+    @example(seed=3, rows=[], shared=None, count=7)  # no rows, an array start
+    def test_philox_rows_are_the_generator_streams(self, seed, rows, shared, count):
+        """One start for every row slices the block words, a start per row
+        gathers them; either way row r is the stream (seed, index[r])."""
+        index = np.array([i for i, _ in rows], dtype=np.uint64)
+        starts = [s0 for _, s0 in rows] if shared is None else [shared] * len(rows)
+        start = np.array(starts, dtype=np.intp) if shared is None else shared
+        got = mc._philox_random(seed, index, start, count)
+        assert got.shape == (len(rows), count) and got.dtype == float
+        for row, i, s0 in zip(got, index, starts):
+            rng = trajectory_rng(seed, int(i))
+            assert np.array_equal(row, rng.random(s0 + count)[s0:])
 
     def test_philox_per_row_start(self):
         index = np.arange(4, dtype=np.uint64)
@@ -337,21 +360,26 @@ class TestBatchedStreams:
             assert rng.rng.random() == next_draw[0, 0]
         assert used.min() > 2 * 18 * 2  # more than two blocks of 18 two-stage waits
 
-    def test_counts_at_the_reference_jump_times(self):
+    @pytest.mark.parametrize("seed", [8, 9, 10, 11])
+    @pytest.mark.parametrize("n_stages", [2, 3, 7, 8, 10])
+    def test_counts_at_the_reference_jump_times(self, n_stages, seed):
         """Jump times continue bit for bit from a head to the rest of its block
-        and to the next block: at every jump time of the loop, and one ulp
-        below it, the counts are the loop's."""
+        and to the next block, with the stages of each wait summed in numpy's
+        order: at every jump time of the loop, and one ulp below it, the
+        counts are the loop's."""
+        w = HypoExpWTD(np.linspace(0.5, 2.0, n_stages))
+        horizon = 30.0 * w.mean
 
         def f(start, count):
-            return 1e-2 * mc._philox_random(8, [0], start, count)[0]
+            return 0.2 * mc._philox_random(seed, [0], start, count)[0]
 
-        jumps = _ref_jump_times(ERLANG2, 3.0, _Stream(f))
+        jumps = _ref_jump_times(w, horizon, _Stream(f))
         times = np.concatenate([jumps, np.nextafter(jumps, 0.0)])
         counts, used = mc._jump_counts(
-            ERLANG2, times, 3.0, lambda rows, start, width: f(start, width)[None]
+            w, times, horizon, lambda rows, start, width: f(start, width)[None]
         )
         assert np.array_equal(counts[0], np.searchsorted(jumps, times, side="right"))
-        assert used[0] > 2 * 18 * 2  # more than two blocks of 18 two-stage waits
+        assert used[0] > 2 * 78 * n_stages  # more than two blocks of 78 waits
 
     @pytest.mark.parametrize("below", [False, True])
     def test_horizon_inside_the_done_margin(self, below):

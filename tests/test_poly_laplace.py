@@ -173,6 +173,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="time must be nonnegative and finite"):
             evaluate(f, t)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("array", [False, True])
+    def test_envelope_rejects_bad_times_on_both_paths(self, bad, array):
+        # e^{-t}(1 + 2t): its term sum at t = -1 is -2.718, no bound at all
+        f = ExpPolyFunction([(-1.0, [1.0, 2.0])])
+        with pytest.raises(ValueError, match="time must be nonnegative and finite"):
+            f.envelope(np.array([0.0, bad]) if array else bad)
+
     @pytest.mark.parametrize("t", [2.0, np.linspace(0.0, 1.0, 6).reshape(2, 3)])
     def test_no_functions_give_an_empty_stack(self, t):
         assert evaluate_all([], t).shape == (0,) + np.shape(t)
