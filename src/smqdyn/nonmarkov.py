@@ -99,8 +99,19 @@ class MeasureResult:
         return math.isinf(self.value)
 
 
-def _auto_window(derivs: list[ExpPolyFunction]) -> float:
-    """Horizon beyond which the remaining total variation is below 1e-12."""
+def _measure_window(
+    derivs: list[ExpPolyFunction], window: tuple[float, float] | None = None
+) -> tuple[tuple[float, float], float]:
+    """The measure window as floats and the tail bound beyond it.
+
+    A given window must satisfy 0 <= t0 < t1 < inf, and its tail bound is 0.
+    Otherwise the window is (0, T), T the horizon beyond which the remaining
+    total variation of the derivs is below 1e-12, and the bound is that rest.
+    """
+    if window is not None:
+        if not 0.0 <= window[0] < window[1] < math.inf:
+            raise ValueError("window must satisfy 0 <= t0 < t1 < inf")
+        return (float(window[0]), float(window[1])), 0.0
     slowest = 1.0
     for d in derivs:
         for p in d.poles:
@@ -110,15 +121,9 @@ def _auto_window(derivs: list[ExpPolyFunction]) -> float:
     for _ in range(60):
         tail = sum(d.tail_envelope_integral(T) for d in derivs)
         if tail < 1e-12:
-            return T
+            return (0.0, T), tail
         T *= 1.5
     raise RuntimeError("tail bound did not converge; non-decaying component?")
-
-
-def _checked_window(window: tuple[float, float]) -> tuple[float, float]:
-    if not 0.0 <= window[0] < window[1] < math.inf:
-        raise ValueError("window must satisfy 0 <= t0 < t1 < inf")
-    return window
 
 
 def _positive_variation(
@@ -148,9 +153,8 @@ def blp_measure_dephasing(w: HypoExpWTD, mu: float = -1.0) -> MeasureResult:
     gen = generating_function(w, mu)
     if gen.derivative.is_zero():
         return MeasureResult(0.0, (), "blp-analytic")
-    T = _auto_window([gen.derivative])
-    value, contributions = _positive_variation(gen.value, (0.0, T))
-    tail = gen.derivative.tail_envelope_integral(T)
+    window, tail = _measure_window([gen.derivative])
+    value, contributions = _positive_variation(gen.value, window)
     return MeasureResult(
         value, tuple(contributions), "blp-analytic", tail_bound=tail
     )
@@ -217,12 +221,7 @@ def blp_measure_numeric(
     which the tests check on lattices of directions.
     """
     dyn = dynamics(ch, w)
-    derivs = [g.derivative for g in dyn.generators]
-    if cfg.window is not None:
-        window, tail = _checked_window(cfg.window), 0.0
-    else:
-        T = _auto_window(derivs)
-        window, tail = (0.0, T), sum(d.tail_envelope_integral(T) for d in derivs)
+    window, tail = _measure_window([g.derivative for g in dyn.generators], cfg.window)
     scored = [_positive_variation(g.value, window) for g in dyn.generators]
     axis = max(range(3), key=lambda i: scored[i][0])
     value, contributions = scored[axis]
@@ -251,7 +250,7 @@ class DivisibilityScan:
 def _singular_times(dyn: ChannelDynamics, window: tuple[float, float]) -> list[float]:
     """Eigenvalue zeros inside the window by find_zeros, once per distinct
     eigenvalue (a dephasing map shares one generator between lam_x and lam_y)."""
-    fs = dict.fromkeys(g.value for g in dyn.generators if not g.derivative.is_zero())
+    fs = [dyn.generators[i].value for i in dyn.varying]
     return sorted(z for f in fs for z in find_zeros(f, window).tolist())
 
 
@@ -316,24 +315,14 @@ def _choi_numerators(dyn: ChannelDynamics, s: float, t):
     sign(N) sign(Q).  With a factor per axis, a shared eigenvalue's zeros
     would stay in N.
     """
-    factors, others = _factor_plan(dyn)
     lam, later = np.moveaxis(dyn.lambdas(np.stack([t, t + s])), 1, 0)
-    q = np.prod(lam[factors], axis=0)
+    q = np.prod(lam[dyn.varying], axis=0)
+    others = [[j for j in dyn.varying if dyn.rows[j] != r] for r in dyn.rows]
     terms = np.stack([later[i] * np.prod(lam[o], axis=0) for i, o in enumerate(others)])
     del lam, later  # freed before the numerators are built
     num = np.tensordot(PAULI_TRANSFORM[:, 1:], terms, axes=1) + q
     num *= 0.25
     return num, q, 0.25 * (np.abs(terms).sum(axis=0) + np.abs(q))
-
-
-@lru_cache(maxsize=128)
-def _factor_plan(dyn: ChannelDynamics) -> tuple[list[int], tuple[list[int], ...]]:
-    """Factor axes of _choi_numerators and, per axis, the factors not its own
-    (lists, to index with; cached and shared, so read only)."""
-    gens = dyn.generators
-    first = [gens.index(g) for g in gens]
-    factors = [i for i in dict.fromkeys(first) if not gens[i].derivative.is_zero()]
-    return factors, tuple([j for j in factors if j != k] for k in first)
 
 
 def _violated(num: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -485,10 +474,8 @@ def _fixed_lag_setup(
     elif not 0.0 < s_offset < math.inf:
         raise ValueError("lag must be positive and finite")
     dyn = dynamics(ch, w)
-    if window is None:
-        window = (0.0, _auto_window([g.derivative for g in dyn.generators]))
-    t0, t1 = _checked_window(window)
-    return dyn, s_offset, (float(t0), float(t1))
+    window, _ = _measure_window([g.derivative for g in dyn.generators], window)
+    return dyn, s_offset, window
 
 
 def hou_measure(

@@ -196,30 +196,31 @@ class ChannelDynamics:
         )
         # Each distinct eigenvalue is evaluated once and its row repeated;
         # evaluate_all sums each row alone, so the rows are bit-identical.
+        # rows: the distinct eigenvalue of each axis; varying: the first axis
+        # of each distinct non-constant eigenvalue (lists to index with; read only).
         self._distinct = list(dict.fromkeys(self.generators))
-        self._rows = [self._distinct.index(g) for g in self.generators]
+        self.rows = [self._distinct.index(g) for g in self.generators]
+        self.varying = [self.rows.index(k) for k, g in enumerate(self._distinct)
+                        if not g.derivative.is_zero()]
         self._values = tuple(g.value for g in self._distinct)
 
     def lambdas(self, t):
         """Array of shape (3,) + shape(t) with lam_x, lam_y, lam_z."""
-        return evaluate_all(self._values, t)[self._rows]
+        return evaluate_all(self._values, t)[self.rows]
 
     def lambda_dots(self, t):
-        return evaluate_all([g.derivative for g in self._distinct], t)[self._rows]
+        return evaluate_all([g.derivative for g in self._distinct], t)[self.rows]
 
     def lambda_table(self, t) -> np.ndarray:
         """lam and lam_dot stacked to (2, 3, len(t)) by the scalar evaluate, once
-        per distinct generator and time: the values snapshot gives, bit for bit."""
+        per distinct generator and time; snapshot reads it at one time."""
         t = list(np.asarray(t, dtype=float))
         table = [[[*map(g.value, t)], [*map(g.derivative, t)]] for g in self._distinct]
-        return np.array([table[i] for i in self._rows]).transpose(1, 0, 2)
+        return np.array([table[i] for i in self.rows]).transpose(1, 0, 2)
 
     def snapshot(self, t: float) -> MapSnapshot:
-        return MapSnapshot(
-            tuple(float(g.value(t)) for g in self.generators),
-            tuple(float(g.derivative(t)) for g in self.generators),
-            float(t),
-        )
+        lam, lam_dot = self.lambda_table([t])[:, :, 0].tolist()
+        return MapSnapshot(tuple(lam), tuple(lam_dot), float(t))
 
 
 @lru_cache(maxsize=128)

@@ -24,6 +24,7 @@ from .poly_laplace import (
     ExpPolyFunction,
     Polynomial,
     RationalLaplace,
+    evaluate_all,
     invert_laplace,
 )
 from .waiting_time import HypoExpWTD
@@ -342,8 +343,8 @@ def _extrema(f: ExpPolyFunction, window: tuple[float, float]) -> tuple:
     df = f.differentiate()
     if df.is_zero():
         return ()
-    dv = df(grid)
-    scale = float(np.max(np.abs(f(grid)))) or 1.0
+    fv, dv = evaluate_all((f, df), grid)
+    scale = float(np.max(np.abs(fv))) or 1.0
     i, j = sign_brackets(dv, df.envelope(grid))
     stat = refine_brackets(df, grid[i], grid[j], 1e-14, dv[i], dv[j])
     stat = stat[(t0 < stat) & (stat < T)]

@@ -17,10 +17,10 @@ from functools import lru_cache
 from typing import Iterable
 
 from .poly_laplace import (
-    ROOT_CLUSTER_RADIUS,
     ExpPolyFunction,
     Polynomial,
     RationalLaplace,
+    _cluster,
     invert_laplace,
 )
 
@@ -74,17 +74,8 @@ class HypoExpWTD:
         return RationalLaplace(Polynomial([num]), den, den_roots=self._stage_poles())
 
     def _stage_poles(self) -> tuple[tuple[complex, int], ...]:
-        groups: list[list[float]] = []
-        for r in sorted(self.rates):
-            for g in groups:
-                if abs(r - g[0]) <= ROOT_CLUSTER_RADIUS * (1.0 + g[0]):
-                    g.append(r)
-                    break
-            else:
-                groups.append([r])
-        return tuple(
-            (complex(-sum(g) / len(g), 0.0), len(g)) for g in groups
-        )
+        """Poles -r in ascending order of the rates r, a root cluster as one."""
+        return tuple((complex(-r, 0.0), m) for r, m in _cluster(list(self.rates)))
 
     def one_minus_laplace_over_u(self) -> Polynomial:
         """Numerator polynomial of (1 - fhat(u))/u over the denominator of fhat.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from smqdyn.poly_laplace import ROOT_CLUSTER_RADIUS
 from smqdyn.waiting_time import HypoExpWTD
 
 from oracles import numeric_convolution, two_stage_pdf
@@ -18,6 +19,19 @@ class TestConstruction:
 
     def test_erlang_factory(self):
         assert HypoExpWTD.erlang(3, 2.0).rates == (2.0, 2.0, 2.0)
+
+    def test_stage_poles_merge_inside_the_cluster_radius(self):
+        def poles(rates):
+            return HypoExpWTD(rates).laplace_pdf().den_roots
+
+        assert poles([2.5] * 4) == ((-2.5 + 0j, 4),)
+        r = 1.3
+        near = r + 0.9 * ROOT_CLUSTER_RADIUS * (1.0 + r)
+        assert poles([near, r]) == ((complex(-(r + near) / 2, 0.0), 2),)
+        apart = r * (1.0 + 1e-6)
+        assert poles([apart, r]) == ((complex(-r, 0.0), 1), (complex(-apart, 0.0), 1))
+        # ascending in the rate, whatever the stage order
+        assert poles([3.0, 0.5, 2.0, 0.5]) == ((-0.5 + 0j, 2), (-2.0 + 0j, 1), (-3.0 + 0j, 1))
 
     def test_transform_strictly_proper_and_normalized(self):
         for rates in [(1.0,), (1.0, 2.0), (0.5,) * 4, (1.0, 0.13)]:
