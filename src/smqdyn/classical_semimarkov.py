@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .poly_laplace import ExpPolyFunction
-from .renewal import CP_FLOOR, even_odd_difference, find_zeros, near_zero_mask, runs
+from .renewal import CP_FLOOR, even_odd_difference, find_zeros, is_root, near_zero_mask, runs
 from .waiting_time import HypoExpWTD
 
 __all__ = [
@@ -123,7 +123,7 @@ def propagator(spec: SemiMarkovSpec, t: float, s: float = 0.0) -> TransitionMatr
         raise ValueError("need t >= s >= 0")
     h = _mixing_function(spec)
     hs = h(s)
-    if abs(hs) < 1e-14:
+    if is_root(hs, h.differentiate()(s), s):
         raise SingularPropagatorError(f"mixing function vanishes at s={s}")
     ratio = h(t) / hs
     a, b = 0.5 * (1.0 + ratio), 0.5 * (1.0 - ratio)

@@ -30,6 +30,7 @@ from .renewal import (
     find_extrema,
     find_zeros,
     generating_function,
+    is_root,
     near_zero_mask,
     pole_grid,
     refine_brackets,
@@ -307,15 +308,18 @@ def _negativity(dyn: ChannelDynamics, s: float, t) -> np.ndarray:
     return np.where(np.any(lam == 0.0, axis=0), np.inf, neg)
 
 
-def _choi_numerators(dyn: ChannelDynamics, s: float, t):
+def _choi_numerators(dyn: ChannelDynamics, s: float, t, at=None):
     """Numerators N = Q w of the Choi weights w of the maps from t to t + s,
     Q, and the term envelope of N.  Q is the product of the distinct
     non-constant eigenvalues at t, and r_i enters as lam_i(t + s) times the
     other factors, so N is smooth through the eigenvalue zeros and sign(w) =
-    sign(N) sign(Q).  With a factor per axis, a shared eigenvalue's zeros
-    would stay in N.
+    sign(N) sign(Q); with a factor per axis, a shared eigenvalue's zeros would
+    stay in N.  Dividing lam_i by 2^floor(p_i u / ln 2), p_i = dyn.decay and u =
+    at (default t), keeps N and Q from underflow and their bits up to that factor.
     """
-    lam, later = np.moveaxis(dyn.lambdas(np.stack([t, t + s])), 1, 0)
+    k = np.floor(np.multiply.outer(dyn.decay, t if at is None else at) / math.log(2.0))
+    lam, later = np.ldexp(np.moveaxis(dyn.lambdas(np.stack([t, t + s])), 1, 0),
+                          -k.astype(int))
     q = np.prod(lam[dyn.varying], axis=0)
     others = [[j for j in dyn.varying if dyn.rows[j] != r] for r in dyn.rows]
     terms = np.stack([later[i] * np.prod(lam[o], axis=0) for i, o in enumerate(others)])
@@ -358,8 +362,8 @@ def _violation_intervals(
     coef = np.vstack([coef, negative.T])
     floor = np.repeat([0.0, CP_FLOOR], [len(a), len(i)])
 
-    def margin(t):
-        n, qt, _ = _choi_numerators(dyn, s_offset, t)
+    def margin(t):  # one scale per bracket, so the steps keep their bits
+        n, qt, _ = _choi_numerators(dyn, s_offset, t, grid[lo])
         return -((coef.T * n).sum(axis=0) + floor * qt)
 
     lo, hi = np.concatenate([a, i]), np.concatenate([b, i + 1])
@@ -368,6 +372,12 @@ def _violation_intervals(
     mids = 0.5 * (marks[:-1] + marks[1:])
     starts, ends = runs(_violated(*_choi_numerators(dyn, s_offset, mids)[:2]))
     intervals = tuple(zip(marks[starts].tolist(), marks[ends].tolist()))
+    # The integrands read lam at t and t + s, and a subnormal lam has lost its
+    # precision; an interval's end is where the decay has gone furthest.
+    last = marks[ends]
+    lam = dyn.lambdas(np.stack([last, last + s_offset]))[dyn.varying]
+    if np.any(np.abs(lam) <= np.finfo(float).tiny):
+        raise AccuracyError(f"an eigenvalue underflows in the violation up to t={last[-1]:.6g}")
     return intervals, tuple(sorted(roots[: len(a)].tolist()))
 
 
@@ -453,7 +463,7 @@ def _gauss_kronrod(f, pieces, scale=math.inf, singular=()):
         owner = np.tile(owner[keep], 2)
     tol = np.maximum(eps, eps * np.abs(total))
     for e, t in zip(error, tol):
-        if e > t:
+        if not e <= t:  # a NaN error too, as from an underflowed integrand
             raise AccuracyError(f"quadrature error {e:.2g} exceeds the tolerance {t:.2g}")
     return total, error
 
@@ -568,9 +578,9 @@ _OVERCOMPLETE_WEIGHTS = np.array([[-0.25], [-0.5], [0.25], [-0.25]])
 
 def tcl_rates(ch: PauliChannel, w: HypoExpWTD, t) -> tuple[np.ndarray, ...]:
     """Both time-local rate sets at the 1-D times t: canonical (3, T) and
-    overcomplete (4, T), NaN where some lam_i = 0, and that mask (T,)."""
+    overcomplete (4, T), NaN where some lam_i is zero by is_root, and that mask (T,)."""
     lam, lam_dot = dynamics(ch, w).lambda_table(t)
-    singular = (np.abs(lam) < 1e-14).any(axis=0)
+    singular = is_root(lam, lam_dot, np.asarray(t, dtype=float)).any(axis=0)
     a = lam_dot / np.where(singular, np.nan, lam)
     ax, ay, az = a
     canonical = 0.25 * (2.0 * a - a.sum(axis=0))

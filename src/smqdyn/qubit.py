@@ -203,6 +203,7 @@ class ChannelDynamics:
         self.varying = [self.rows.index(k) for k, g in enumerate(self._distinct)
                         if not g.derivative.is_zero()]
         self._values = tuple(g.value for g in self._distinct)
+        self.decay = np.array([max(p.real for p in g.value.poles) for g in self.generators])
 
     def lambdas(self, t):
         """Array of shape (3,) + shape(t) with lam_x, lam_y, lam_z."""

@@ -37,6 +37,7 @@ __all__ = [
     "jump_probability",
     "even_odd_difference",
     "generating_function",
+    "is_root",
     "series_backend",
     "find_extrema",
     "find_zeros",
@@ -53,6 +54,8 @@ N_MAX_JUMPS = 512
 
 #: A Choi weight or transition-matrix entry below -CP_FLOOR counts as negative.
 CP_FLOOR = 1e-12
+#: A root search stops once its bracket is narrower than ROOT_XTOL + ROOT_RTOL |t|.
+ROOT_XTOL, ROOT_RTOL = 1e-14, 8.9e-16
 
 
 class SeriesTruncationError(RuntimeError):
@@ -282,6 +285,13 @@ def runs(flags) -> tuple[np.ndarray, np.ndarray]:
     return edges[::2], edges[1::2]
 
 
+def is_root(value, slope, t):
+    """Where t, given f(t) and f'(t), is a zero of f to find_zeros' tolerance,
+    or f(t) is subnormal: a value that has lost its relative precision."""
+    tol = (ROOT_XTOL + ROOT_RTOL * np.abs(t)) * np.abs(slope)
+    return np.abs(value) <= np.maximum(tol, np.finfo(float).tiny)
+
+
 def refine_brackets(f, a, b, xtol: float, fa=None, fb=None) -> np.ndarray:
     """Sign-change points of f inside every bracket [a_k, b_k] at once.
 
@@ -289,8 +299,8 @@ def refine_brackets(f, a, b, xtol: float, fa=None, fb=None) -> np.ndarray:
     each bracket belongs to; fa and fb, if given, are f(a) and f(b), such as
     the grid samples of an elementwise f.  All brackets step together by the
     Illinois variant of regula falsi, with a bisection step wherever two steps
-    failed to halve a bracket, until each is narrower than xtol + 8.9e-16*|t|
-    (the termination rule of scipy's brentq); the midpoint is returned.
+    failed to halve a bracket, until each is narrower than xtol + ROOT_RTOL*|t|
+    (scipy brentq's termination rule); the midpoint is returned.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -302,7 +312,7 @@ def refine_brackets(f, a, b, xtol: float, fa=None, fb=None) -> np.ndarray:
     old = prev = np.full(a.shape, np.inf)
     while True:
         m = 0.5 * (a + b)
-        tol = xtol + 8.9e-16 * np.abs(m)
+        tol = xtol + ROOT_RTOL * np.abs(m)
         width = b - a
         active = width > tol
         if not active.any():
@@ -346,7 +356,7 @@ def _extrema(f: ExpPolyFunction, window: tuple[float, float]) -> tuple:
     fv, dv = evaluate_all((f, df), grid)
     scale = float(np.max(np.abs(fv))) or 1.0
     i, j = sign_brackets(dv, df.envelope(grid))
-    stat = refine_brackets(df, grid[i], grid[j], 1e-14, dv[i], dv[j])
+    stat = refine_brackets(df, grid[i], grid[j], ROOT_XTOL, dv[i], dv[j])
     stat = stat[(t0 < stat) & (stat < T)]
     vals = f(stat)
     curv = df.differentiate()(stat)
@@ -377,7 +387,7 @@ def _zeros(f: ExpPolyFunction, window: tuple[float, float]) -> np.ndarray:
     grid = pole_grid([f], window, 100)
     fv = f(grid)
     i, j = sign_brackets(fv, f.envelope(grid))
-    z = refine_brackets(f, grid[i], grid[j], 1e-14, fv[i], fv[j])
+    z = refine_brackets(f, grid[i], grid[j], ROOT_XTOL, fv[i], fv[j])
     z = z[(grid[0] < z) & (z < grid[-1])]
     z.setflags(write=False)
     return z

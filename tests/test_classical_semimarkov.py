@@ -54,6 +54,17 @@ class TestPropagator:
         with pytest.raises(SingularPropagatorError):
             propagator(FLIP_ERLANG2, 4.0, 3 * math.pi / 4)
 
+    def test_decayed_survival_is_no_zero(self):
+        # The survival e^-40 is 4.2e-18 at s = 40: decayed, not a zero.
+        T = propagator(HALF_EXP, 50.0, 40.0)
+        a, b = 0.5 * (1.0 + math.exp(-10.0)), 0.5 * (1.0 - math.exp(-10.0))
+        assert np.allclose(T.entries, [[a, b], [b, a]], rtol=1e-12, atol=0.0)
+
+    def test_subnormal_survival_is_a_zero(self):
+        # e^-740 is subnormal: the ratio h(745)/h(740) would carry a few bits.
+        with pytest.raises(SingularPropagatorError):
+            propagator(HALF_EXP, 745.0, 740.0)
+
     def test_general_jump_probabilities_need_the_solver(self):
         with pytest.raises(ValueError, match="volterra"):
             propagator(SemiMarkovSpec(0.3, 0.8, HypoExpWTD.exponential(1.0)), 1.0)

@@ -428,6 +428,36 @@ class TestTclCoefficients:
             assert bits(scalar) == bits(residual[i])
         assert singular.sum() == (ch is PHASEFLIP)
 
+    def test_decayed_eigenvalues_are_no_zeros(self):
+        # gamma_y at t = 1000 is the rate's t -> inf limit; |lam_z| is 7.9e-15
+        # at the auto-window end 1911: decayed, not a zero.
+        canonical, _, singular = tcl_rates(*LONG_PAULI, [1000.0, 1911.0, 3000.0])
+        assert not singular.any() and np.isfinite(canonical).all()
+        assert canonical[1] == pytest.approx(-0.000858664, rel=1e-6)
+
+    @pytest.mark.parametrize("t", [3700.0, 1e5])
+    def test_underflowed_eigenvalues_are_zeros(self, t):
+        # lam_y is subnormal at t = 3700 (2e-323), and every lam is 0 at 1e5.
+        lam, _ = dynamics(*LONG_PAULI).lambda_table([t])
+        assert np.abs(lam[1, 0]) < np.finfo(float).tiny
+        assert tcl_rates(*LONG_PAULI, [t])[2].tolist() == [True]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_zero_rule_flags_the_eigenvalue_zeros_only(self, seed):
+        ch, w = _seeded_channel(seed)
+        dyn = dynamics(ch, w)
+        upto = _window(dyn)[1]
+        zeros = np.array(_singular_times(dyn, (0.0, upto)))
+        assert tcl_rates(ch, w, zeros)[2].all()
+        # Away from the zeros the rule flags only the subnormal eigenvalues,
+        # which seed 0's lam_y and lam_z are from about t = 580 on (their
+        # slowest rates are -1.23 and -1.21).
+        grid = np.linspace(0.0, upto, 1001)
+        far = grid[np.abs(grid[:, None] - zeros).min(axis=1, initial=np.inf) >= 1e-9]
+        subnormal = (np.abs(dyn.lambda_table(far)[0]) <= np.finfo(float).tiny).any(axis=0)
+        assert np.array_equal(tcl_rates(ch, w, far)[2], subnormal)
+        assert subnormal.any() == (seed == 0)
+
     def test_equivalence_check_rejects_singular(self):
         co = tcl_coefficients(PHASEFLIP, ERLANG2, 3 * math.pi / 4)
         with pytest.raises(ValueError):
@@ -631,8 +661,10 @@ def _scalar_negativity(dyn, s, t):
 class _ExactZeroDynamics:
     """Stand-in dynamics whose lam_x vanishes exactly at t = 1."""
 
-    # three distinct non-constant eigenvalues, as _choi_numerators reads them
+    # three distinct non-constant eigenvalues, as _choi_numerators reads them,
+    # left unscaled
     rows = varying = [0, 1, 2]
+    decay = np.zeros(3)
 
     @staticmethod
     def lambdas(t):
@@ -962,13 +994,9 @@ class TestFixedLagSearch:
         assert hou.value == pytest.approx(1.786e-4, rel=1e-3)
         assert [ab for ab, _ in rhp.contributions] == [ab for ab, _ in hou.contributions]
 
-    # Long windows on which the product Q of the eigenvalues underflows, so
-    # that the search ends the violation early and then breaks it up; the
-    # reference takes the eigenvalue ratios.  The pauli case uses its
+    # Long windows on which the product Q of the raw eigenvalues underflows;
+    # the reference takes the eigenvalue ratios.  The pauli case uses its
     # auto-window, (0, 1910.8).
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="ROADMAP item 12: Q underflows on long windows"
-    )
     @pytest.mark.parametrize("case", ["ep-1928.6", "pauli-erlang:4:1", "seed-0-550"])
     def test_long_window_matches_total_negativity_refinement(self, case):
         if case == "ep-1928.6":
@@ -986,6 +1014,59 @@ class TestFixedLagSearch:
         ref = _reference_violation_intervals(dyn, s, window)
         assert len(got) == len(ref)
         assert np.allclose(got, ref, rtol=0.0, atol=1e-6)
+
+
+# The long-window inputs of the search: the pauli channel's auto-window is
+# (0, 1910.8), and lam_y underflows past t = 3,500.
+LONG_PAULI = (PauliChannel([0.6979, 0.2677, 0.0060, 0.0284]), HypoExpWTD.erlang(4, 1.0))
+
+
+class TestScaledNumerators:
+    # rhp on long windows, where the product of the raw eigenvalues
+    # underflows: (channel, waiting time, lag, window), the value and the
+    # end of its one interval, the window end.
+    @pytest.mark.parametrize(
+        "case, value, end",
+        [
+            ((*DIAGNOSTIC_SHAPES["ep/conv:1,0.14"], None, (0.0, 1928.6)),
+             0.037558621174915686, 1928.6),
+            ((*LONG_PAULI, 1e-3, None), 1.6356761937563326e-3, 1910.8325760335417),
+            ((*LONG_PAULI, 1e-6, None), 1.637729043975833e-6, 1910.8325760335417),
+        ],
+        ids=["ep-1928.6", "pauli-1e-3", "pauli-1e-6"],
+    )
+    def test_long_window_values_run_to_the_window_end(self, case, value, end):
+        ch, w, s, window = case
+        res = rhp_divisibility_measure(ch, w, s_offset=s, window=window)
+        quad_err = float(res.note.split("quad_err=")[1])
+        assert abs(res.value - value) <= max(quad_err, 1e-9 * value)
+        ((_, b), _), = res.contributions
+        assert b == pytest.approx(end, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["pauli-5000", "seed-0-hou"])
+    def test_underflowed_eigenvalue_raises(self, case):
+        # Past the underflow of one eigenvalue the ratio-form integrand loses
+        # its precision; the violation runs on, and the search says so.
+        with pytest.raises(AccuracyError, match="underflows"):
+            if case == "pauli-5000":
+                rhp_divisibility_measure(*LONG_PAULI, window=(0.0, 5000.0))
+            else:
+                hou_measure(*_seeded_channel(0))
+
+    def test_scale_is_an_exact_power_of_two(self):
+        dyn = dynamics(*LONG_PAULI)
+        s, t = 1e-3, np.linspace(0.0, 600.0, 61)
+        raw = dyn.lambdas(np.stack([t, t + s]))
+        _, q, _ = _choi_numerators(dyn, s, t)
+        ratio = q / np.prod(raw[dyn.varying, 0], axis=0)
+        assert np.all(np.frexp(ratio)[0] == 0.5)
+        # One exponent for every time of a bracket: the values at the later
+        # times are those at their own exponent times a power of two.
+        at = np.full(t.shape, 100.0)
+        n_at, q_at, _ = _choi_numerators(dyn, s, t, at)
+        n_own, q_own, _ = _choi_numerators(dyn, s, t)
+        assert np.all(np.frexp(q_at / q_own)[0] == 0.5)
+        assert np.array_equal(np.sign(n_at), np.sign(n_own))
 
 
 class TestFixedLagValidation:
@@ -1173,6 +1254,12 @@ class TestBoundedQuadrature:
         with pytest.raises(AccuracyError, match="exceeds the tolerance"):
             _gauss_kronrod(lambda t: np.sin(1e12 * t) ** 2, [np.array([0.0, 1.0])])
         assert time.perf_counter() - start < 5.0
+
+    def test_unbounded_integrand_raises(self):
+        # An inf value, as the ratio form gives where an eigenvalue has
+        # underflowed to 0, has a NaN error estimate, which is no pass.
+        with np.errstate(invalid="ignore"), pytest.raises(AccuracyError):
+            _gauss_kronrod(lambda t: np.where(t > 0.6, np.inf, 1.0), [np.array([0.0, 1.0])])
 
     def test_panels_at_a_singular_time_resolve_its_scale(self):
         # arctan(a/|t - 1|), a = s/2, has a spike of width s at the breakpoint
