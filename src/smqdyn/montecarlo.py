@@ -6,9 +6,12 @@ streams in closed form for a batch of trajectories at a time, only up to the
 first jump past the horizon, but account the draws in whole blocks and sum the
 per-trajectory values in trajectory order, so the estimates are bit-identical
 to a loop over one trajectory at a time, whatever the batch size.  Exponential
-stages are sampled by inverse CDF.  Estimators on the same waiting time,
-observation times, configuration and draw offset reduce one kept set of jump
-counts.
+stages are sampled by inverse CDF.  Two levels of work are kept, each in one
+slot of bounded size: the stream heads of the most recent (seed, n_traj), which
+every later estimator on them extends instead of recomputing, whatever its
+waiting time, times or draw offset; and the jump counts of the most recent
+(waiting time, times, configuration, offset), which later estimators on that
+key only reduce.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ __all__ = [
 ]
 
 _CHUNK = 2048  # trajectories per batch; bounds the temporaries, not the results
-_KEEP = 2**22  # most counts (n_traj x times) a kept ensemble holds; bounds memory
+_KEEP = 2**22  # bounds each slot: heads <= 4 MiB (n_traj x words x 8 bytes),
+# ensembles <= 2**22 counts (n_traj x times)
 _last: tuple = (None, ())  # key and batches of the ensemble kept
+_heads: tuple = (None, [])  # (seed, n_traj, batch size) and the stream heads kept
 
 
 @dataclass(frozen=True)
@@ -197,28 +202,43 @@ def _ensemble(w: HypoExpWTD, times: np.ndarray, cfg: SimConfig, offset: int):
     start, start + 1, ... past their first `offset` draws, and an owned copy
     `lead` of those draws from its head call, which starts at draw 0; all
     read-only, the counts in the narrowest unsigned dtype that holds them.
-    The most recent ensemble of at most `_KEEP` counts is kept, so estimators
-    on the same (w, times, cfg, offset) compute its streams once; a larger one
-    is computed batch by batch as it is reduced, so its memory stays one batch.
+    The head draws (from draw 0) of the most recent (seed, n_traj) are kept
+    per batch while they fill at most `_KEEP` bytes, n_traj x words x 8, so a
+    head call draws only the words past those kept, whatever w, times or
+    offset; every kept head is a valid prefix of its streams.  The most
+    recent ensemble of at most `_KEEP` counts is kept, so estimators on the
+    same (w, times, cfg, offset) only reduce it; a larger one is computed
+    batch by batch as it is reduced, so its memory stays one batch.
     """
-    global _last
+    global _last, _heads
     key = (w, tuple(times.tolist()), cfg, offset)
     kept_key, kept = _last  # one read: another thread may replace the slot
     if kept_key == key:
         return kept
     _last = (None, ())  # drop the old ensemble before computing the new one
+    streams = (cfg.seed, cfg.n_traj, _CHUNK)  # the batches heads are kept in
+    heads_key, heads = _heads  # one read, as for _last
+    if heads_key != streams:
+        heads = [np.empty((0, 0))] * -(-cfg.n_traj // _CHUNK)  # nothing kept yet
+        _heads = (streams, heads)
 
     def batches():
-        for start in range(0, cfg.n_traj, _CHUNK):
+        for b, start in enumerate(range(0, cfg.n_traj, _CHUNK)):
             index = np.arange(start, min(start + _CHUNK, cfg.n_traj), dtype=_U)
             lead = []
 
             def draws(rows, first, width):
                 if first:
                     return _philox_random(cfg.seed, index[rows], offset + first, width)
-                u = _philox_random(cfg.seed, index[rows], 0, offset + width)
+                u, have, need = heads[b], heads[b].shape[1], offset + width
+                if have < need:  # draw only the words not kept
+                    more = _philox_random(cfg.seed, index, have, need - have)
+                    u = np.hstack([u, more]) if have else more
+                    u.setflags(write=False)
+                    if cfg.n_traj * u.shape[1] * u.itemsize <= _KEEP:
+                        heads[b] = u
                 lead.append(u[:, :offset].copy())
-                return u[:, offset:]
+                return u[:, offset:need]
 
             arrays = _jump_counts(w, times, cfg.horizon, draws)
             arrays = [a.astype(np.min_scalar_type(a.max(initial=0))) for a in arrays]
@@ -311,12 +331,15 @@ def simulate_two_state(
     to_first = np.array([spec.pi, spec.sigma])  # P(next state = first | current)
 
     def values(counts, used, lead, index):
-        steps = int(counts.max()) if counts.size else 0
-        u = _philox_random(cfg.seed, index, used.astype(_U) + _U(1), steps)
+        walk = counts.max(axis=1, initial=0) > 0  # a row that never jumps stays put
+        steps = int(counts.max(initial=0))
+        u = _philox_random(cfg.seed, index[walk], used[walk].astype(_U) + _U(1), steps)
         states = np.empty((len(index), steps + 1), dtype=np.int8)
         states[:, 0] = lead[:, 0] >= p0.p[0]
+        path = states[walk]
         for k in range(steps):
-            states[:, k + 1] = u[:, k] >= to_first[states[:, k]]
+            path[:, k + 1] = u[:, k] >= to_first[path[:, k]]
+        states[walk] = path
         return (np.take_along_axis(states, counts, axis=1) == 0).astype(float)
 
     return _estimate(spec.wtd, times, cfg, values, offset=1)

@@ -461,6 +461,7 @@ class TestEnsembleReuse:
     @pytest.fixture(autouse=True)
     def empty_slot(self, monkeypatch):
         monkeypatch.setattr(mc, "_last", (None, ()))
+        monkeypatch.setattr(mc, "_heads", (None, []))
 
     def count_calls(self, monkeypatch, name):
         calls, f = [], getattr(mc, name)
@@ -559,6 +560,82 @@ class TestEnsembleReuse:
             assert estimate_generating_function(w, -0.6, times, cfg) == kept
             assert mc._last == (None, ())
         assert len(ensembles) == 2 * math.ceil(cfg.n_traj / mc._CHUNK)
+
+    def head_words(self, w, cfg, offset=0):
+        x = cfg.horizon / w.mean
+        return offset + (int(x + 2.0 * np.sqrt(x + 1.0)) + 2) * w.n_stages
+
+    @pytest.mark.parametrize(
+        "first",
+        [HypoExpWTD([1.0, 0.5]), HypoExpWTD([0.5, 0.25, 1.0]), HypoExpWTD([4.0])],
+        ids=["same", "longer_head", "shorter_head"],
+    )
+    def test_two_state_after_another_estimator_equals_a_cold_run(
+        self, monkeypatch, first
+    ):
+        w, times, cfg = self.W, self.TIMES, self.CFG
+        spec, p0 = SemiMarkovSpec(0.4, 0.7, w), ProbabilityVector((0.3, 0.7))
+        cold = _bits(simulate_two_state(spec, p0, times, cfg))
+        monkeypatch.setattr(mc, "_last", (None, ()))
+        monkeypatch.setattr(mc, "_heads", (None, []))
+        estimate_generating_function(first, -0.6, [1.0, 3.0], cfg)
+        assert _bits(simulate_two_state(spec, p0, times, cfg)) == cold
+
+    def test_head_calls_draw_only_the_words_not_kept(self, monkeypatch):
+        w, times = self.W, [1.0, 4.0]
+        cfg = SimConfig(n_traj=2 * mc._CHUNK + 5, seed=5, horizon=4.0)
+        estimate_generating_function(w, -0.6, times, cfg)
+        kept = self.head_words(w, cfg)
+        assert {h.shape[1] for h in mc._heads[1]} == {kept}
+        calls = self.count_calls(monkeypatch, "_philox_random")
+        spec, p0 = SemiMarkovSpec(0.3, 0.6, w), ProbabilityVector((0.4, 0.6))
+        simulate_two_state(spec, p0, times, cfg)
+        assert not any(np.any(np.asarray(start) == 0) for _, _, start, _ in calls)
+        top_ups = [(int(i[0]), len(i), n) for _, i, start, n in calls
+                  if isinstance(start, int) and start == kept]
+        end = self.head_words(w, cfg, offset=1)
+        batches = range(0, cfg.n_traj, mc._CHUNK)
+        sizes = [min(mc._CHUNK, cfg.n_traj - b) for b in batches]
+        assert top_ups == [(b, size, end - kept) for b, size in zip(batches, sizes)]
+        assert {h.shape[1] for h in mc._heads[1]} == {end}
+
+    @pytest.mark.parametrize(
+        "change, replaced",
+        [(dict(seed=78), True), (dict(n_traj=3001), True), (dict(horizon=9.0), False)],
+        ids=["seed", "n_traj", "horizon"],
+    )
+    def test_a_new_seed_or_n_traj_replaces_the_heads(self, change, replaced):
+        w, times = self.W, self.TIMES
+        estimate_generating_function(w, -0.6, times, self.CFG)
+        before = mc._heads
+        cfg = SimConfig(**{**vars(self.CFG), **change})
+        estimate_generating_function(w, -0.6, times, cfg)
+        assert (mc._heads[1] is not before[1]) == replaced
+        assert mc._heads[0] == (cfg.seed, cfg.n_traj, mc._CHUNK)
+        width = self.head_words(w, cfg)
+        for start, head in zip(range(0, cfg.n_traj, mc._CHUNK), mc._heads[1]):
+            assert head.shape == (min(mc._CHUNK, cfg.n_traj - start), width)
+            for i in (0, len(head) - 1):
+                rng = trajectory_rng(cfg.seed, start + i)
+                assert np.array_equal(head[i], rng.random(width))
+
+    @pytest.mark.parametrize("slack", [0, -1])
+    def test_heads_over_the_budget_are_not_kept(self, monkeypatch, slack):
+        w, times, cfg = self.W, self.TIMES, self.CFG
+        kept = estimate_generating_function(w, -0.6, times, cfg)
+        monkeypatch.setattr(mc, "_last", (None, ()))
+        monkeypatch.setattr(mc, "_heads", (None, []))
+        words = self.head_words(w, cfg)
+        monkeypatch.setattr(mc, "_KEEP", 8 * cfg.n_traj * words + slack)
+        assert estimate_generating_function(w, -0.6, times, cfg) == kept
+        assert {h.shape[1] for h in mc._heads[1]} == {words if slack == 0 else 0}
+
+    def test_kept_heads_are_read_only(self):
+        estimate_jump_probability(self.W, 1, self.TIMES, self.CFG)
+        assert mc._heads[1]
+        for head in mc._heads[1]:
+            with pytest.raises(ValueError, match="read-only"):
+                head[0, 0] = 0.0
 
 
 class TestCoverage:
