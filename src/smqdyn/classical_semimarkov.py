@@ -117,13 +117,18 @@ def _mixing_function(spec: SemiMarkovSpec) -> ExpPolyFunction:
     )
 
 
+@lru_cache(maxsize=256)
+def _mixing_slope(spec: SemiMarkovSpec) -> ExpPolyFunction:
+    return _mixing_function(spec).differentiate()
+
+
 def propagator(spec: SemiMarkovSpec, t: float, s: float = 0.0) -> TransitionMatrix:
     """Closed-form T(t, s) for the two special jump-probability choices."""
     if not 0.0 <= s <= t:
         raise ValueError("need t >= s >= 0")
     h = _mixing_function(spec)
     hs = h(s)
-    if is_root(hs, h.differentiate()(s), s):
+    if is_root(hs, _mixing_slope(spec)(s), s):
         raise SingularPropagatorError(f"mixing function vanishes at s={s}")
     ratio = h(t) / hs
     a, b = 0.5 * (1.0 + ratio), 0.5 * (1.0 - ratio)

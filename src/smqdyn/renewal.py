@@ -39,6 +39,7 @@ __all__ = [
     "generating_function",
     "is_root",
     "series_backend",
+    "dominance_time",
     "find_extrema",
     "find_zeros",
     "near_zero_mask",
@@ -266,14 +267,36 @@ def pole_grid(
     return np.linspace(t0, t1, n + 1)
 
 
+@lru_cache(maxsize=256)
+def dominance_time(f: ExpPolyFunction) -> float:
+    """A time past which f has the sign of Re c*, c* the top coefficient (of t^k)
+    of its slowest pole p*, or inf unless p* is real and alone at its real part.
+    Each other c t^j e^{pt} has the ratio |c|/|Re c*| t^(j-k) e^{-(p* - Re p)t},
+    nonincreasing past (j-k)/(p* - Re p); the time is the first rung, 4 per doubling
+    from the last turning point on, where the ratios (in logs) sum below 1/2."""
+    p, top = f.terms[-1] if f.terms else (1j, ())
+    rows = [(math.log(abs(c)), j + 1 - len(top), p.real - q.real) for q, cs in f.terms
+            for j, c in enumerate(cs) if c != 0.0 and (q, j + 1) != (p, len(top))]
+    if p.imag != 0.0 or top[-1].real == 0.0 or any(g <= 0.0 <= n for _, n, g in rows):
+        return math.inf
+    start = max([0.0] + [n / g for _, n, g in rows if g > 0.0])
+    gap = min([g for _, _, g in rows if g > 0.0] or [1.0])
+    lead = math.log(abs(top[-1].real))
+    for t in (start + (2.0 ** (k / 4.0) - 1.0) / gap for k in range(1, 57)):
+        if sum(math.exp(min(a - lead + n * math.log(t) - g * t, 0.0)) for a, n, g in rows) < 0.5:
+            return t
+    return math.inf
+
+
 def sign_brackets(values, envelopes) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) bracketing the genuine sign changes of samples.
 
-    Values within 1e-12 of their local term-magnitude envelope are rounding
-    noise (e.g. a flat double zero at the window edge) and carry no sign;
-    brackets run between consecutive decisive samples of opposite sign.
+    Values within 1e-12 of their local term-magnitude envelope (rounding noise,
+    e.g. a flat double zero at the window edge) or subnormal (is_root's rule)
+    carry no sign; brackets run between decisive samples of opposite sign.
     """
-    sgn = np.where(np.abs(values) > 1e-12 * envelopes, np.sign(values), 0.0)
+    floor = np.maximum(1e-12 * envelopes, np.finfo(float).tiny)
+    sgn = np.where(np.abs(values) > floor, np.sign(values), 0.0)
     idx = np.flatnonzero(sgn)
     flip = sgn[idx[:-1]] != sgn[idx[1:]]
     return idx[:-1][flip], idx[1:][flip]
@@ -338,10 +361,10 @@ def find_extrema(
 ) -> list[ExtremumPoint]:
     """Interior critical points of f in the window, ordered by time.
 
-    Sign changes of f' are bracketed on a grid finer than any pole period and
-    refined all at once; zeros of f are located the same way.  Stationary
-    values below 1e-12 times the window scale of |f| count as zero-touching
-    minima.  Searches are cached per (f, window), f by value.
+    Sign changes of f' are bracketed on a grid finer than any pole period, up to
+    the dominance times of f and f', and refined all at once; zeros of f alike.
+    Stationary values below 1e-12 times the window scale of |f| count as
+    zero-touching minima.  Searches are cached per (f, window), f by value.
     """
     return list(_extrema(f, (float(window[0]), float(window[1]))))
 
@@ -353,10 +376,11 @@ def _extrema(f: ExpPolyFunction, window: tuple[float, float]) -> tuple:
     df = f.differentiate()
     if df.is_zero():
         return ()
-    fv, dv = evaluate_all((f, df), grid)
-    scale = float(np.max(np.abs(fv))) or 1.0
-    i, j = sign_brackets(dv, df.envelope(grid))
-    stat = refine_brackets(df, grid[i], grid[j], ROOT_XTOL, dv[i], dv[j])
+    head = grid[: max(np.count_nonzero(grid < max(map(dominance_time, (f, df)))) + 1, 2)]
+    fv, dv = evaluate_all((f, df), np.concatenate([head, [T]]))
+    scale = float(np.max(np.abs(fv))) or 1.0  # |f| is monotone past the head
+    i, j = sign_brackets(dv[:-1], df.envelope(head))
+    stat = refine_brackets(df, head[i], head[j], ROOT_XTOL, dv[i], dv[j])
     stat = stat[(t0 < stat) & (stat < T)]
     vals = f(stat)
     curv = df.differentiate()(stat)
@@ -385,9 +409,10 @@ def find_zeros(f: ExpPolyFunction, window: tuple[float, float]) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _zeros(f: ExpPolyFunction, window: tuple[float, float]) -> np.ndarray:
     grid = pole_grid([f], window, 100)
-    fv = f(grid)
-    i, j = sign_brackets(fv, f.envelope(grid))
-    z = refine_brackets(f, grid[i], grid[j], ROOT_XTOL, fv[i], fv[j])
+    head = grid[: max(np.count_nonzero(grid < dominance_time(f)) + 1, 2)]
+    fv = f(head)
+    i, j = sign_brackets(fv, f.envelope(head))
+    z = refine_brackets(f, head[i], head[j], ROOT_XTOL, fv[i], fv[j])
     z = z[(grid[0] < z) & (z < grid[-1])]
     z.setflags(write=False)
     return z

@@ -9,13 +9,14 @@ from smqdyn.classical_semimarkov import (
     SingularPropagatorError,
     UnstableSolverError,
     _mixing_function,
+    _mixing_slope,
     kolmogorov_distance,
     propagator,
     volterra_solve,
     witness_contractivity,
     witness_divisibility,
 )
-from smqdyn.poly_laplace import AccuracyError
+from smqdyn.poly_laplace import AccuracyError, ExpPolyFunction
 from smqdyn.renewal import CP_FLOOR, even_odd_difference, find_extrema
 from smqdyn.waiting_time import HypoExpWTD
 
@@ -85,6 +86,22 @@ class TestPropagator:
             left = propagator(spec, t, 0.0).entries
             right = propagator(spec, t, tau).entries @ propagator(spec, tau, 0.0).entries
             assert np.allclose(left, right, atol=1e-9)
+
+    @pytest.mark.parametrize("spec", [HALF_EXP, FLIP_ERLANG2])
+    def test_repeated_calls_differentiate_once(self, spec, monkeypatch):
+        ref = [propagator(spec, 2.0 + k, 0.5 * k).entries for k in range(4)]
+        calls = []
+        differentiate = ExpPolyFunction.differentiate
+
+        def counted(f):
+            calls.append(f)
+            return differentiate(f)
+
+        monkeypatch.setattr(ExpPolyFunction, "differentiate", counted)
+        _mixing_slope.cache_clear()
+        got = [propagator(spec, 2.0 + k, 0.5 * k).entries for k in range(4)]
+        assert calls == [_mixing_function(spec)]
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in ref]
 
 
 def _reference_volterra_matrices(spec: SemiMarkovSpec, t_end: float, dt: float):

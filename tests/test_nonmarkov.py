@@ -48,6 +48,7 @@ from smqdyn.qubit import (
 )
 from smqdyn.poly_laplace import AccuracyError, ExpPolyFunction, evaluate_all
 from smqdyn.renewal import (
+    dominance_time,
     even_odd_difference,
     find_extrema,
     find_zeros,
@@ -457,6 +458,16 @@ class TestTclCoefficients:
         subnormal = (np.abs(dyn.lambda_table(far)[0]) <= np.finfo(float).tiny).any(axis=0)
         assert np.array_equal(tcl_rates(ch, w, far)[2], subnormal)
         assert subnormal.any() == (seed == 0)
+
+    def test_subnormal_sign_changes_are_no_zeros(self):
+        # Seed 0's lam_y and lam_z are subnormal from about t = 580 on, where
+        # their samples flipped sign 16 times in t = 579..613.
+        dyn = dynamics(*_seeded_channel(0))
+        window = _window(dyn)
+        zeros = [find_zeros(g.value, window) for g in dyn.generators]
+        assert [len(z) for z in zeros] == [0, 156, 164]
+        for g, z in zip(dyn.generators, zeros):
+            assert np.all(np.abs(g.derivative(z)) > np.finfo(float).tiny)
 
     def test_equivalence_check_rejects_singular(self):
         co = tcl_coefficients(PHASEFLIP, ERLANG2, 3 * math.pi / 4)
@@ -1189,6 +1200,126 @@ class TestSearchCaches:
         for k in range(400):
             divisibility_scan(PHASEFLIP, w, np.array([5.0]), np.array([0.01 * k]))
         assert len(calls) == 1
+
+
+# Four Dirichlet Pauli channels on Erlang waits of unit rate, each with a
+# canonical rate that stays negative for good (eternal non-Markovianity).
+DIRICHLET_CHANNELS = {
+    f"pauli:{','.join(map(str, weights))}/erlang:{m}:1": (
+        PauliChannel(list(weights)), HypoExpWTD.erlang(m, 1.0))
+    for weights, m in [((0.4870, 0.2402, 0.2490, 0.0238), 6),
+                       ((0.6979, 0.2677, 0.0060, 0.0284), 4),
+                       ((0.4543, 0.1985, 0.2682, 0.0790), 4),
+                       ((0.4744, 0.0337, 0.3927, 0.0992), 2)]
+}
+# Every shape above; the golden measures inputs are the DIAGNOSTIC_SHAPES.
+SIGN_SHAPES = {
+    **{f"seed-{k}": _seeded_channel(k) for k in range(40)},
+    **FIXED_LAG_CASES,
+    **DIRICHLET_CHANNELS,
+}
+
+
+def _sampled(monkeypatch):
+    """Spy on renewal.sign_brackets: the number of samples of each call."""
+    sampled, brackets = [], renewal.sign_brackets
+    monkeypatch.setattr(renewal, "sign_brackets",
+                        lambda v, env: sampled.append(len(v)) or brackets(v, env))
+    return sampled
+
+
+def _lambdas_and_slopes(shape):
+    dyn = dynamics(*SIGN_SHAPES[shape])
+    return dyn, [f for g in dyn.generators for f in (g.value, g.derivative)]
+
+
+class TestDominanceTime:
+    @pytest.mark.parametrize("shape", sorted(SIGN_SHAPES))
+    def test_one_sign_past_the_dominance_time(self, shape):
+        _, fs = _lambdas_and_slopes(shape)
+        for f in fs:
+            T = dominance_time(f)
+            if T == math.inf:
+                continue
+            v = f(T + np.geomspace(1e-6, 1e4, 10_000))
+            signed = np.abs(v) > np.finfo(float).tiny  # a subnormal value has no sign
+            assert np.all(np.sign(v[signed]) == np.sign(f.terms[-1][1][-1].real))
+
+    @pytest.mark.parametrize("ch, w, axis", [
+        (*DIAGNOSTIC_SHAPES["phaseflip/conv:1,0.3"], 0),
+        (*DIAGNOSTIC_SHAPES["mix:0.9/conv:1,0.3"], 0),
+        (PauliChannel([0.3, 0.3, 0.3, 0.1]), ERLANG2, 2),
+    ], ids=["phaseflip", "mix:0.9", "pauli:0.3,0.3,0.3,0.1"])
+    def test_a_complex_slowest_pair_has_no_certificate(self, ch, w, axis):
+        g = dynamics(ch, w).generators[axis]
+        assert abs(g.value.terms[-1][0].imag) > 0.1
+        assert dominance_time(g.value) == dominance_time(g.derivative) == math.inf
+
+    def test_another_pole_at_the_slowest_real_part_has_no_certificate(self):
+        # 0.3 t e^((-1-i)t) beside e^-t: no gap, so its ratio 0.3 t grows for good.
+        f = ExpPolyFunction([(-1.0 - 1.0j, [0.0, 0.3]), (-1.0, [1.0])])
+        assert f.terms[-1][0] == -1.0 and dominance_time(f) == math.inf
+
+    def test_a_rising_faster_term_waits_for_its_turning_point(self):
+        # -0.2 t^5 e^-2t against e^-t: the ratio is below 1/2 up to t = 0.9,
+        # peaks at 4.2 at its turning point t = 5, and f < 0 on about (1.4, 11).
+        f = ExpPolyFunction([(-1.0, [1.0]), (-2.0, [0.0] * 5 + [-0.2])])
+        T = dominance_time(f)
+        assert T > 5.0 and f(5.0) < 0.0
+        v = f(T + np.geomspace(1e-6, 1e4, 10_000))
+        assert np.all(v[np.abs(v) > np.finfo(float).tiny] > 0.0)
+
+    def test_head_ends_at_the_first_point_past_the_cut(self, monkeypatch, cold):
+        sampled = _sampled(monkeypatch)
+        f = ExpPolyFunction([(-1.0, [1.0]), (-2.0, [-3.0])])
+        T, grid = dominance_time(f), renewal.pole_grid([f], (0.0, 10.0), 100)
+        find_zeros(f, (0.0, 10.0))
+        find_zeros(f, (T + 1e-3, 10.0))
+        assert grid[sampled[0] - 2] < T <= grid[sampled[0] - 1]
+        assert sampled[1] == 2
+        cut = max(T, dominance_time(f.differentiate()))
+        assert cut > T
+        find_extrema(f, (0.0, 10.0))  # brackets f' on its head, then f's zeros
+        assert grid[sampled[2] - 2] < cut <= grid[sampled[2] - 1]
+
+    def test_zero_touching_scale_reads_the_window_end(self, monkeypatch, cold):
+        # (1 - e^(0.5 - t))^2 - 8.5e-13 dips to -8.5e-13 at t = 0.5, a
+        # zero-touching minimum against |f| -> 1 at the window end, a maximum
+        # of |f| against |f| < 0.8 up to the cut.
+        sampled = _sampled(monkeypatch)
+        f = ExpPolyFunction([(0.0, [1.0 - 8.5e-13]), (-1.0, [-2.0 * math.exp(0.5)]),
+                             (-2.0, [math.exp(1.0)])])
+        (point,) = find_extrema(f, (0.0, 40.0))
+        assert point.t == pytest.approx(0.5, abs=1e-12) and point.kind == "min"
+        head = renewal.pole_grid([f], (0.0, 40.0), 100)[: sampled[0]]
+        assert np.abs(f(head)).max() < 0.8
+
+    def test_ep_searches_a_short_head(self, monkeypatch, cold):
+        # lam_x's pole grid on the auto window (0, 241.1) has 4,823 points.
+        sampled = _sampled(monkeypatch)
+        dyn, fs = _lambdas_and_slopes("ep/conv:1,0.14")
+        window = _window(dyn)
+        find_extrema(fs[0], window)
+        assert len(renewal.pole_grid([fs[0]], window, 100)) == 4823
+        assert max(sampled) < 50
+
+    @pytest.mark.parametrize("shape", sorted(SIGN_SHAPES))
+    def test_cut_searches_keep_every_bit(self, shape, monkeypatch):
+        dyn, fs = _lambdas_and_slopes(shape)
+        windows = [_window(dyn), (0.0, 10.0), (0.0, 300.0), (0.0, 2000.0)]
+        # Where f's dominance time is past the window end, nothing is cut.
+        cut = [(f, win) for f in fs for win in windows if dominance_time(f) < win[1]]
+
+        def searches():
+            renewal._zeros.cache_clear()
+            renewal._extrema.cache_clear()
+            return [(find_zeros(f, win).tobytes(), repr(find_extrema(f, win)))
+                    for f, win in cut]
+
+        got = searches()
+        # every dominance time inf: the same searches on the uncut pole grid
+        monkeypatch.setattr(renewal, "dominance_time", lambda f: math.inf)
+        assert searches() == got
 
 
 # hou_measure(phase flip, conv:1,0.3) at tiny lags, as the sum of its

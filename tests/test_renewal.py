@@ -440,6 +440,13 @@ class TestRefineBrackets:
         i, j = sign_brackets(values, np.ones(5))
         assert i.tolist() == [3] and j.tolist() == [4]
 
+    def test_subnormal_samples_carry_no_sign(self):
+        # is_root's rule: a subnormal value has lost its relative precision,
+        # even where its envelope is subnormal too.
+        values = np.array([1e-300, -2e-310, 3e-310, -1e-320, 1e-300, -1e-300])
+        i, j = sign_brackets(values, np.abs(values))
+        assert i.tolist() == [4] and j.tolist() == [5]
+
 
 class TestRuns:
     @pytest.mark.parametrize(
