@@ -38,7 +38,6 @@ from .renewal import (
     sign_brackets,
 )
 from .qubit import (
-    PAULI_TRANSFORM,
     SIGMA,
     ChannelDynamics,
     PauliChannel,
@@ -284,14 +283,25 @@ def divisibility_scan(
     return DivisibilityScan(t_values, s_values, min_comp, singular, tuple(cells))
 
 
+def _choi_sums(q, terms) -> np.ndarray:
+    """A (q, x, y, z) / 4 stacked, A = PAULI_TRANSFORM, by three column adds per
+    row, in place: (x + y) + z, (x - y) - z, (y - x) - z and z - (x + y), plus q."""
+    x, y, z = terms
+    w = np.empty((4,) + np.shape(x))  # w[k, ...]: a view, if x is 0-d too
+    np.subtract(z, np.add(x, y, out=w[0, ...]), out=w[3, ...])
+    np.negative(np.subtract(x, y, out=w[1, ...]), out=w[2, ...])
+    w[0] += z
+    w[1:3] -= z
+    w += q
+    w *= 0.25
+    return w
+
+
 def _choi_weights(lam: np.ndarray, lam_later: np.ndarray) -> np.ndarray:
     """Pauli-conjugation weights A (1, r) / 4 of the intermediate maps with
     eigenvalue ratios r = lam_later / lam, stacked along the first axis."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu = np.tensordot(PAULI_TRANSFORM[:, 1:], lam_later / lam, axes=1)
-        mu += 1.0  # A's first column is all ones
-        mu *= 0.25
-    return mu
+        return _choi_sums(1.0, lam_later / lam)
 
 
 def _negativity(dyn: ChannelDynamics, s: float, t) -> np.ndarray:
@@ -308,25 +318,27 @@ def _negativity(dyn: ChannelDynamics, s: float, t) -> np.ndarray:
     return np.where(np.any(lam == 0.0, axis=0), np.inf, neg)
 
 
-def _choi_numerators(dyn: ChannelDynamics, s: float, t, at=None):
+def _exponents(dyn: ChannelDynamics, at) -> np.ndarray:
+    """-floor(p_i u / ln 2) per axis at the times u = at, p_i = dyn.decay."""
+    return -np.floor(np.multiply.outer(dyn.decay, at) / math.log(2.0)).astype(int)
+
+
+def _choi_numerators(dyn: ChannelDynamics, s: float, t, e=None):
     """Numerators N = Q w of the Choi weights w of the maps from t to t + s,
-    Q, and the term envelope of N.  Q is the product of the distinct
-    non-constant eigenvalues at t, and r_i enters as lam_i(t + s) times the
-    other factors, so N is smooth through the eigenvalue zeros and sign(w) =
-    sign(N) sign(Q); with a factor per axis, a shared eigenvalue's zeros would
-    stay in N.  Dividing lam_i by 2^floor(p_i u / ln 2), p_i = dyn.decay and u =
-    at (default t), keeps N and Q from underflow and their bits up to that factor.
+    Q, and the terms of N.  Q is the product of the distinct non-constant
+    eigenvalues at t, and r_i enters as lam_i(t + s) times the other factors,
+    so N is smooth through the eigenvalue zeros and sign(w) = sign(N) sign(Q);
+    with a factor per axis, a shared eigenvalue's zeros would stay in N.
+    Multiplying lam_i by 2^e_i, e = _exponents(dyn, u) with u = t by default,
+    keeps N and Q from underflow and their bits up to that factor.
     """
-    k = np.floor(np.multiply.outer(dyn.decay, t if at is None else at) / math.log(2.0))
-    lam, later = np.ldexp(np.moveaxis(dyn.lambdas(np.stack([t, t + s])), 1, 0),
-                          -k.astype(int))
-    q = np.prod(lam[dyn.varying], axis=0)
-    others = [[j for j in dyn.varying if dyn.rows[j] != r] for r in dyn.rows]
-    terms = np.stack([later[i] * np.prod(lam[o], axis=0) for i, o in enumerate(others)])
-    del lam, later  # freed before the numerators are built
-    num = np.tensordot(PAULI_TRANSFORM[:, 1:], terms, axes=1) + q
-    num *= 0.25
-    return num, q, 0.25 * (np.abs(terms).sum(axis=0) + np.abs(q))
+    e = _exponents(dyn, t) if e is None else e
+    lam, later = np.moveaxis(np.ldexp(dyn.lambdas(np.stack([t, t + s])), e[:, None]), 1, 0)
+    one = np.ones(np.shape(t))  # the products multiply in order, as np.prod would
+    q = math.prod((lam[j] for j in dyn.varying), start=one)
+    terms = [later[i] * math.prod((lam[j] for j in o), start=one)
+             for i, o in enumerate(dyn.factors)]
+    return _choi_sums(q, terms), q, terms
 
 
 def _violated(num: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -350,9 +362,9 @@ def _violation_intervals(
     t0, t1 = window
     grid = pole_grid([g.value for g in dyn.generators], window, 400)
     zeros = _singular_times(dyn, window)
-    for z in zeros:
-        grid = np.insert(grid, np.count_nonzero(grid < z), z)
-    num, q, env = _choi_numerators(dyn, s_offset, grid)
+    grid = np.insert(grid, np.searchsorted(grid, zeros), zeros)
+    num, q, terms = _choi_numerators(dyn, s_offset, grid)
+    env = 0.25 * (np.abs(terms).sum(axis=0) + np.abs(q))  # of N's terms
     inside = _violated(num, q)
     kink = [sign_brackets(n_k, env) for n_k in num]
     a, b = (np.concatenate(ends) for ends in zip(*kink))
@@ -362,12 +374,22 @@ def _violation_intervals(
     coef = np.vstack([coef, negative.T])
     floor = np.repeat([0.0, CP_FLOOR], [len(a), len(i)])
 
-    def margin(t):  # one scale per bracket, so the steps keep their bits
-        n, qt, _ = _choi_numerators(dyn, s_offset, t, grid[lo])
+    lo, hi = np.concatenate([a, i]), np.concatenate([b, i + 1])
+    e_lo = _exponents(dyn, grid[lo])
+
+    def margin(t, n=None, qt=None):  # N and Q at lo's scale (or given): steps keep their bits
+        if n is None:
+            n, qt, _ = _choi_numerators(dyn, s_offset, t, e_lo)
         return -((coef.T * n).sum(axis=0) + floor * qt)
 
-    lo, hi = np.concatenate([a, i]), np.concatenate([b, i + 1])
-    roots = refine_brackets(margin, grid[lo], grid[hi], 1e-12)
+    # The grid pass has N and Q at the ends, at hi on hi's scale: times
+    # 2^sum(e_lo - e_hi) they are those at lo's, bit for bit away from the subnormals.
+    shift = (e_lo - _exponents(dyn, grid[hi]))[dyn.varying].sum(axis=0)
+    fb = np.ldexp(margin(None, num[:, hi], q[hi]), shift)
+    redo = ~(np.abs(fb) >= np.finfo(float).tiny / np.finfo(float).eps)
+    fb = np.where(redo, margin(grid[hi]), fb) if redo.any() else fb
+    fa = margin(None, num[:, lo], q[lo])
+    roots = refine_brackets(margin, grid[lo], grid[hi], 1e-12, fa, fb)
     marks = np.array([t0, *sorted(roots[len(a):].tolist()), t1])
     mids = 0.5 * (marks[:-1] + marks[1:])
     starts, ends = runs(_violated(*_choi_numerators(dyn, s_offset, mids)[:2]))
@@ -414,6 +436,7 @@ def _gauss_kronrod(f, pieces, scale=math.inf, singular=()):
     max(eps, eps*|I|), scipy quad's default tolerance, and it is no wider than
     scale where it touches one of the singular times (f's features there are
     that wide; a kink has none); or once it is within 32 ulps of its midpoint.
+    Those splits are made up front if they all fit within half the cap.
     Over QUAD_PANEL_CAP open panels, a piece whose errors meet its tolerance
     is done (QUADPACK's test) and only the largest errors are split.  Returns
     the integrals and their error estimates; raises AccuracyError where an
@@ -426,6 +449,24 @@ def _gauss_kronrod(f, pieces, scale=math.inf, singular=()):
     owner = np.repeat(np.arange(n), [len(p) - 1 for p in pieces])
     length = np.array([p[-1] - p[0] for p in pieces])
     total, error = np.zeros(n), np.zeros(n)
+    z = np.append(np.sort(singular), np.nan)  # a last time that equals no end
+
+    def forced(lo, hi, half):  # wider than scale with an end at a singular time
+        return (z[np.searchsorted(z[:-1], (lo, hi))] == (lo, hi)).any(axis=0) & (half > scale)
+
+    # The rounds would halve such a panel once per round until it is final: those
+    # splits come before the first round, if all of them fit within half the cap.
+    cut_lo, cut_hi, cut_owner = lo, hi, owner
+    while cut_lo.size <= QUAD_PANEL_CAP // 2:
+        half = 0.5 * (cut_hi - cut_lo)
+        mid = cut_lo + half
+        cut = forced(cut_lo, cut_hi, half) & (half > 32.0 * np.spacing(np.abs(mid)))
+        if not cut.any():
+            lo, hi, owner = cut_lo, cut_hi, cut_owner
+            break
+        cut_lo = np.append(cut_lo, mid[cut])
+        cut_hi = np.append(np.where(cut, mid, cut_hi), cut_hi[cut])
+        cut_owner = np.append(cut_owner, cut_owner[cut])
     for rnd in range(max_rounds):
         if lo.size == 0:
             break
@@ -442,10 +483,7 @@ def _gauss_kronrod(f, pieces, scale=math.inf, singular=()):
         resabs = half * (np.abs(fx) @ _GK_WEIGHTS)
         err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
         tol = np.maximum(eps, eps * np.abs(total + np.bincount(owner, val, n)))
-        coarse = np.zeros(lo.shape, dtype=bool)
-        for z in singular:
-            coarse |= (lo == z) | (hi == z)
-        coarse &= half > scale
+        coarse = forced(lo, hi, half)
         final = (err <= (tol / length)[owner] * 2.0 * half) & ~coarse
         final |= (half <= 32.0 * np.spacing(np.abs(mid))) | (rnd == max_rounds - 1)
         split = np.flatnonzero(~final)

@@ -197,11 +197,13 @@ class ChannelDynamics:
         # Each distinct eigenvalue is evaluated once and its row repeated;
         # evaluate_all sums each row alone, so the rows are bit-identical.
         # rows: the distinct eigenvalue of each axis; varying: the first axis
-        # of each distinct non-constant eigenvalue (lists to index with; read only).
+        # of each distinct non-constant eigenvalue; factors: per axis, those of
+        # the other distinct eigenvalues (lists to index with; read only).
         self._distinct = list(dict.fromkeys(self.generators))
         self.rows = [self._distinct.index(g) for g in self.generators]
         self.varying = [self.rows.index(k) for k, g in enumerate(self._distinct)
                         if not g.derivative.is_zero()]
+        self.factors = [[j for j in self.varying if self.rows[j] != r] for r in self.rows]
         self._values = tuple(g.value for g in self._distinct)
         self.decay = np.array([max(p.real for p in g.value.poles) for g in self.generators])
 

@@ -302,6 +302,12 @@ def sign_brackets(values, envelopes) -> tuple[np.ndarray, np.ndarray]:
     return idx[:-1][flip], idx[1:][flip]
 
 
+def _live(env) -> int:
+    """Samples up to the last with envelope over tiny/2: |f| stays below tiny past it."""
+    alive = np.flatnonzero(env > 0.5 * np.finfo(float).tiny)
+    return int(alive[-1]) + 1 if alive.size else 0
+
+
 def runs(flags) -> tuple[np.ndarray, np.ndarray]:
     """Start and end-exclusive indices of each maximal run of True in flags."""
     edges = np.flatnonzero(np.diff(np.concatenate(([0], np.int8(flags), [0]))))
@@ -377,9 +383,12 @@ def _extrema(f: ExpPolyFunction, window: tuple[float, float]) -> tuple:
     if df.is_zero():
         return ()
     head = grid[: max(np.count_nonzero(grid < max(map(dominance_time, (f, df)))) + 1, 2)]
+    env = df.envelope(head)
+    end = _live(env)  # and on to f's, whose values set the zero-touching scale
+    head = head[: max(end + _live(f.envelope(head[end:])), 2)]
     fv, dv = evaluate_all((f, df), np.concatenate([head, [T]]))
     scale = float(np.max(np.abs(fv))) or 1.0  # |f| is monotone past the head
-    i, j = sign_brackets(dv[:-1], df.envelope(head))
+    i, j = sign_brackets(dv[:-1], env[: head.size])
     stat = refine_brackets(df, head[i], head[j], ROOT_XTOL, dv[i], dv[j])
     stat = stat[(t0 < stat) & (stat < T)]
     vals = f(stat)
@@ -410,8 +419,10 @@ def find_zeros(f: ExpPolyFunction, window: tuple[float, float]) -> np.ndarray:
 def _zeros(f: ExpPolyFunction, window: tuple[float, float]) -> np.ndarray:
     grid = pole_grid([f], window, 100)
     head = grid[: max(np.count_nonzero(grid < dominance_time(f)) + 1, 2)]
+    env = f.envelope(head)
+    head = head[: max(_live(env), 2)]
     fv = f(head)
-    i, j = sign_brackets(fv, f.envelope(head))
+    i, j = sign_brackets(fv, env[: head.size])
     z = refine_brackets(f, head[i], head[j], ROOT_XTOL, fv[i], fv[j])
     z = z[(grid[0] < z) & (z < grid[-1])]
     z.setflags(write=False)

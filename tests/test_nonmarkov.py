@@ -17,6 +17,7 @@ from smqdyn.nonmarkov import (
     PairSearchConfig,
     _choi_numerators,
     _choi_weights,
+    _exponents,
     _gauss_kronrod,
     _measure_window,
     _negativity,
@@ -39,6 +40,7 @@ from smqdyn.nonmarkov import (
     trace_distance,
 )
 from smqdyn.qubit import (
+    PAULI_TRANSFORM,
     PauliChannel,
     QubitState,
     choi_vector,
@@ -675,6 +677,7 @@ class _ExactZeroDynamics:
     # three distinct non-constant eigenvalues, as _choi_numerators reads them,
     # left unscaled
     rows = varying = [0, 1, 2]
+    factors = [[1, 2], [0, 2], [0, 1]]
     decay = np.zeros(3)
 
     @staticmethod
@@ -832,26 +835,81 @@ def _seeded_channel(seed):
     return ch, HypoExpWTD([rate, rate * float(rng.uniform(0.1, 0.6))])
 
 
-def _boundary_refinement(monkeypatch, dyn, s, window):
+def _tensordot_numerators(dyn, s, t, at):
+    """Reference: N and Q as the violation search formed them with np.tensordot,
+    each lam_i divided by 2^floor(p_i at / ln 2)."""
+    k = np.floor(np.multiply.outer(dyn.decay, at) / math.log(2.0))
+    lam, later = np.ldexp(np.moveaxis(dyn.lambdas(np.stack([t, t + s])), 1, 0),
+                          -k.astype(int))
+    q = np.prod(lam[dyn.varying], axis=0)
+    others = [[j for j in dyn.varying if dyn.rows[j] != r] for r in dyn.rows]
+    terms = np.stack([later[i] * np.prod(lam[o], axis=0) for i, o in enumerate(others)])
+    num = np.tensordot(PAULI_TRANSFORM[:, 1:], terms, axes=1) + q
+    num *= 0.25
+    return num, q
+
+
+def _refinement_calls(monkeypatch, dyn, s, window):
     """Runs the violation search with a spy on its one refine_brackets call,
     whose brackets are the kinks' and then the boundaries'.  Returns the
-    intervals, the boundary cells (lo, hi) and the boundary refinement
-    function, which maps one time per boundary cell to its value."""
-    seen = {}
+    search's result (None if it raised AccuracyError after the refinement, as
+    where an eigenvalue underflows), the call's f, a, b and bracket-end values
+    (ends), and the times of every call the refinement made to f."""
+    seen, times = {}, []
     refine = nonmarkov.refine_brackets
 
-    def spy(f, a, b, xtol):
-        seen.update(f=f, a=np.asarray(a, dtype=float), b=np.asarray(b, dtype=float))
-        return refine(f, a, b, xtol)
+    def spy(f, a, b, xtol, *ends):
+        seen.update(f=f, a=np.asarray(a, dtype=float), b=np.asarray(b, dtype=float), ends=ends)
+        return refine(lambda t: times.append(t) or f(t), a, b, xtol, *ends)
 
     monkeypatch.setattr(nonmarkov, "refine_brackets", spy)
     nonmarkov._violation_intervals.cache_clear()
-    intervals, kinks = _violation_intervals(dyn, s, window)
+    try:
+        found = _violation_intervals(dyn, s, window)
+    except AccuracyError:
+        found = None
+    return found, seen, times
+
+
+def _boundary_refinement(monkeypatch, dyn, s, window):
+    """The intervals, the boundary cells (lo, hi) and the boundary refinement
+    function, which maps one time per boundary cell to its value."""
+    (intervals, kinks), seen, _ = _refinement_calls(monkeypatch, dyn, s, window)
     f, a, b, n = seen["f"], seen["a"], seen["b"], len(kinks)
     return intervals, a[n:], b[n:], lambda t: f(np.concatenate([a[:n], t]))[n:]
 
 
 class TestFixedLagSearch:
+    @pytest.mark.parametrize("window", ["auto", (0.0, 300.0), (0.0, 2000.0)])
+    @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES))
+    def test_margin_keeps_the_bits_of_the_numerator_formula(self, case, window, monkeypatch):
+        # The margin, at the brackets' ends and inside them, equals the one formed
+        # from N and Q of the tensordot formula at the scale of each bracket's
+        # lower end; the ends passed from the grid pass are those values.
+        ch, w = FIXED_LAG_CASES[case]
+        dyn = dynamics(ch, w)
+        s = 1e-3 / max(w.rates)
+        _, seen, _ = _refinement_calls(monkeypatch, dyn, s,
+                                       _window(dyn) if window == "auto" else window)
+        margin, a, b = seen["f"], seen["a"], seen["b"]
+        assert a.size or w.n_stages == 1  # memoryless: nothing to refine but noise
+        for t in (a, 0.25 * a + 0.75 * b, b):
+            ref = margin(None, *_tensordot_numerators(dyn, s, t, a))
+            assert margin(t).tobytes() == ref.tobytes()
+        for t, end in zip((a, b), seen["ends"]):
+            assert np.asarray(end).tobytes() == margin(t).tobytes()
+
+    @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES))
+    def test_no_margin_call_at_the_grid_ends(self, case, monkeypatch):
+        # The grid pass has N and Q at every bracket's ends: the refinement
+        # evaluates the margin inside the brackets only.
+        ch, w = FIXED_LAG_CASES[case]
+        dyn = dynamics(ch, w)
+        _, seen, times = _refinement_calls(monkeypatch, dyn, 1e-3 / max(w.rates), _window(dyn))
+        assert bool(times) == (w.n_stages > 1)  # memoryless: nothing to refine
+        for t in times:
+            assert not np.any((t == seen["a"]) | (t == seen["b"]))
+
     @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES))
     def test_refinement_matches_total_negativity_refinement(self, case, monkeypatch):
         ch, w = FIXED_LAG_CASES[case]
@@ -1074,7 +1132,7 @@ class TestScaledNumerators:
         # One exponent for every time of a bracket: the values at the later
         # times are those at their own exponent times a power of two.
         at = np.full(t.shape, 100.0)
-        n_at, q_at, _ = _choi_numerators(dyn, s, t, at)
+        n_at, q_at, _ = _choi_numerators(dyn, s, t, _exponents(dyn, at))
         n_own, q_own, _ = _choi_numerators(dyn, s, t)
         assert np.all(np.frexp(q_at / q_own)[0] == 0.5)
         assert np.array_equal(np.sign(n_at), np.sign(n_own))
@@ -1307,8 +1365,10 @@ class TestDominanceTime:
     def test_cut_searches_keep_every_bit(self, shape, monkeypatch):
         dyn, fs = _lambdas_and_slopes(shape)
         windows = [_window(dyn), (0.0, 10.0), (0.0, 300.0), (0.0, 2000.0)]
-        # Where f's dominance time is past the window end, nothing is cut.
-        cut = [(f, win) for f in fs for win in windows if dominance_time(f) < win[1]]
+        # Where f's dominance time is past the window end, and f's envelope at
+        # the end above tiny, nothing is cut.
+        cut = [(f, win) for f in fs for win in windows
+               if dominance_time(f) < win[1] or f.envelope(win[1]) <= np.finfo(float).tiny]
 
         def searches():
             renewal._zeros.cache_clear()
@@ -1317,9 +1377,31 @@ class TestDominanceTime:
                     for f, win in cut]
 
         got = searches()
-        # every dominance time inf: the same searches on the uncut pole grid
+        # the uncut searches: every dominance time inf, every grid point sampled
         monkeypatch.setattr(renewal, "dominance_time", lambda f: math.inf)
+        monkeypatch.setattr(renewal, "_live", len)
         assert searches() == got
+
+    def test_searches_stop_where_the_envelope_dies(self, monkeypatch, cold):
+        # lam_x of the phase flip on conv:1,0.3 has no dominance time, and on
+        # (0, 2000) its envelope is below tiny from t = 1,090.8 on: 11,821 of the
+        # 26,002 grid points hold no sign, for f nor f'.
+        sampled = _sampled(monkeypatch)
+        f = dynamics(*DIAGNOSTIC_SHAPES["phaseflip/conv:1,0.3"]).generators[0].value
+        grid = renewal.pole_grid([f], (0.0, 2000.0), 100)
+        live = np.flatnonzero(f.envelope(grid) > np.finfo(float).tiny)[-1] + 1
+        assert dominance_time(f) == math.inf and grid.size - live == 11_821
+        find_extrema(f, (0.0, 2000.0))  # the zeros of f', then those of f
+        assert len(sampled) == 2 and max(sampled) < live + 200
+        # f = e^(-t/2) cos(3t/10), with no dominance time, and f' (|p| = 0.58)
+        # dies first; f's values set the zero-touching scale, so the extrema
+        # search runs on to f's last point.
+        f = ExpPolyFunction([(-0.5 + 0.3j, [0.5]), (-0.5 - 0.3j, [0.5])])
+        grid = renewal.pole_grid([f], (0.0, 2000.0), 100)
+        find_extrema(f, (0.0, 2000.0))
+        tiny = np.finfo(float).tiny
+        assert sampled[2] == np.count_nonzero(f.envelope(grid) > 0.5 * tiny)
+        assert sampled[2] > np.count_nonzero(f.differentiate().envelope(grid) > 0.5 * tiny)
 
 
 # hou_measure(phase flip, conv:1,0.3) at tiny lags, as the sum of its
@@ -1362,12 +1444,10 @@ class TestBoundedQuadrature:
             total = sum(v for _, v in res.contributions)
             assert abs(total - SMALL_LAG_REFERENCES[lag]) <= quad_err
 
-    def test_kinked_pair_takes_few_rounds(self, monkeypatch):
-        # Where one weight of the pauli pair changes sign while another is
-        # about -1, the total negativity has a kink; unsplit, the quadrature
-        # bisected toward the kinks for 39 rounds.
-        ch, w = DIAGNOSTIC_SHAPES["pauli:0.3,0.3,0.1,0.3/erlang:2:1"]
-        hou_measure(ch, w)  # the searches, cached
+    @staticmethod
+    def _rounds(monkeypatch, ch, w, lag=None):
+        """Quadrature rounds of hou_measure: its calls of _negativity."""
+        hou_measure(ch, w, s_offset=lag)  # the searches, cached
         rounds = []
 
         def counted(*args):
@@ -1375,8 +1455,49 @@ class TestBoundedQuadrature:
             return _negativity(*args)
 
         monkeypatch.setattr(nonmarkov, "_negativity", counted)
-        hou_measure(ch, w)
-        assert len(rounds) <= 15
+        hou_measure(ch, w, s_offset=lag)
+        return len(rounds)
+
+    def test_kinked_pair_takes_few_rounds(self, monkeypatch):
+        # Where one weight of the pauli pair changes sign while another is
+        # about -1, the total negativity has a kink; unsplit, the quadrature
+        # bisected toward the kinks for 39 rounds.
+        ch, w = DIAGNOSTIC_SHAPES["pauli:0.3,0.3,0.1,0.3/erlang:2:1"]
+        assert self._rounds(monkeypatch, ch, w) <= 15
+
+    def test_panels_at_the_zeros_split_before_the_first_round(self, monkeypatch):
+        # Halving the panels at the eigenvalue zeros once per round took 12
+        # rounds at the default lag.
+        ch, w = DIAGNOSTIC_SHAPES["phaseflip/conv:1,0.3"]
+        assert self._rounds(monkeypatch, ch, w) <= 3
+
+    @pytest.mark.parametrize("lag", sorted(SMALL_LAG_REFERENCES))
+    def test_small_lags_take_few_rounds(self, lag, monkeypatch):
+        # 37 to 39 rounds when the splits toward the zeros took a round each
+        assert self._rounds(monkeypatch, PHASEFLIP, HypoExpWTD([1.0, 0.3]), lag) <= 12
+
+    @pytest.mark.parametrize("pieces, scale, first", [
+        ([np.array([0.0, 1.0, 2.0]), np.array([3.0, 4.0])], 1e-12, 3 + 2 * 39),
+        ([np.array([1e6 - 1.0, 1e6, 1e6 + 1.0])], 1e-12, 2 + 2 * 27),
+        ([np.linspace(0.0, 2.0, 1001)], 1e-6, 1000),
+    ], ids=["fit", "ulps-at-1e6", "past-half-the-cap"])
+    def test_forced_splits_come_first_if_all_fit(self, pieces, scale, first):
+        # A panel beside a singular time halves toward it until it is no wider
+        # than 2 scale: from 1 down to 2e-12, 39 times, before the first round;
+        # at 1e6 it stops at 64 ulps, after 27.  With a singular time at each of
+        # 999 breakpoints those splits would pass half the cap, and the rounds
+        # make them instead.
+        panels = []
+
+        def f(t):
+            panels.append(len(t))
+            return np.cos(t)
+
+        singular = [x for p in pieces for x in p[1:-1]]
+        got, _ = _gauss_kronrod(f, pieces, scale, singular)
+        exact = [math.sin(p[-1]) - math.sin(p[0]) for p in pieces]
+        assert got == pytest.approx(exact, rel=1e-9)
+        assert panels[0] == first
 
     def test_unresolvable_integrand_raises_within_the_cap(self):
         # A period of 6e-12 on [0, 1]: the panel cap leaves most of the piece
