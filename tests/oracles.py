@@ -129,6 +129,20 @@ def erlang_phase_type_generating_function(m: int, lam: float, mu: float, ts):
     return np.array([expm(t * q)[0].sum() for t in ts])
 
 
+def phase_type_jump_probability(rates, n: int, t: float) -> float:
+    """P(N(t) = n) as the mass in block n of e_1^T exp(t Q).
+
+    The states are (jump count j <= n, stage i), in order; Q moves each state
+    to the next at its stage rate, so the last stage of block j feeds the
+    first stage of block j + 1 and block n leaks to the dropped rest.
+    """
+    from scipy.linalg import expm
+
+    r = np.tile(np.asarray(rates, dtype=float), n + 1)
+    q = np.diag(r[:-1], k=1) - np.diag(r)
+    return float(expm(t * q)[0, n * len(rates):].sum())
+
+
 def to_rational(f):
     """Laplace transform of an ExpPolyFunction: c t^k e^{pt} -> c k!/(u-p)^{k+1}."""
     from smqdyn.poly_laplace import Polynomial, RationalLaplace

@@ -1,9 +1,12 @@
 import csv
+import gc
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -526,3 +529,93 @@ class TestImportIsolation:
         assert code == 0
         assert needed <= loaded
         assert not loaded & unused
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _command(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout's package, as a command process."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env={**os.environ, "PYTHONPATH": path}
+    )
+
+
+def _console_script(argv: list[str]) -> subprocess.CompletedProcess:
+    """What the installed ``smqdyn`` script runs: ``sys.exit(entry())``."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    entry = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]["scripts"]
+    module, func = entry["smqdyn"].split(":")
+    body = f"import sys; from {module} import {func}; sys.argv[1:] = {argv!r}; sys.exit({func}())"
+    return _command("-c", body)
+
+
+# Prints the exit code; whether collection was on when main parsed its flags
+# and after it exited; whether the heap was frozen at the parse and frozen
+# further at the exit; and the collections that ran while numpy or the
+# smqdyn layers imported.
+_COLLECTOR_PROBE = (
+    "import argparse, gc, runpy, sys\n"
+    "during_imports, state = [], lambda: (gc.isenabled(), gc.get_freeze_count())\n"
+    "gc.callbacks.append(lambda phase, info: phase == 'start' and 'numpy' in sys.modules\n"
+    "    and 'smqdyn.waiting_time' not in sys.modules and during_imports.append(info))\n"
+    "parse = argparse.ArgumentParser.parse_args\n"
+    "def probed(*args):\n"
+    "    global at_parse\n"
+    "    at_parse = state()\n"
+    "    return parse(*args)\n"
+    "argparse.ArgumentParser.parse_args = probed\n"
+    "sys.argv[1:] = ['qm', '--m-max', '2', '--points', '5']\n"
+    "try:\n"
+    "    runpy.run_module('smqdyn.cli', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    (on, frozen), (still_on, frozen_at_exit) = at_parse, state()\n"
+    "    print(exc.code, on, still_on, 0 < frozen < frozen_at_exit, during_imports)\n"
+)
+
+
+class TestCommandProcess:
+    def test_module_run_writes_the_golden_bytes(self):
+        from test_cli_golden import CASES, GOLDEN
+
+        proc = _command("-m", "smqdyn.cli", *CASES["tcl_ep"], "--format", "csv")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (GOLDEN / "tcl_ep.csv").read_bytes()
+
+    def test_console_script_writes_the_module_run_bytes(self):
+        argv = ["measures", "--channel", "ep", "--wtd", "conv:1,0.14"]
+        script, module = _console_script(argv), _command("-m", "smqdyn.cli", *argv)
+        assert script.returncode == module.returncode == 0
+        assert script.stdout == module.stdout and script.stderr == module.stderr == b""
+
+    def test_bad_spec_exits_two_with_the_in_process_stderr(self, capsys):
+        argv = ["tcl", "--channel", "ep", "--wtd", "conv:1,0.14", "--tmax", "nan"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        for proc in (_command("-m", "smqdyn.cli", *argv), _console_script(argv)):
+            assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", err)
+
+    def test_run_as_main_collects_after_its_imports_and_freezes(self):
+        proc = _command("-c", _COLLECTOR_PROBE)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().splitlines()[-1] == "0 True True True []"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["qm", "--m-max", "2", "--points", "5"], 0),
+            (["qm", "--m-min", "3", "--m-max", "2"], 2),
+            (["choiscan", "--channel", "phaseflip", "--wtd", "exp:1"], 3),
+        ],
+        ids=["exit0", "exit2", "exit3"],
+    )
+    def test_in_process_main_leaves_the_collector_alone(self, argv, code, monkeypatch,
+                                                        capsys):
+        def fail(*args, **kwargs):
+            raise RootConvergenceError("injected")
+
+        monkeypatch.setattr(nonmarkov, "divisibility_scan", fail)
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert main(argv) == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == before

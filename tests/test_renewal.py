@@ -29,6 +29,7 @@ from smqdyn.waiting_time import HypoExpWTD
 from oracles import (
     erlang_parity_series,
     erlang_phase_type_generating_function,
+    phase_type_jump_probability,
     poisson_pmf,
     two_stage_parity,
 )
@@ -78,6 +79,23 @@ class TestJumpProbability:
             probs = [p(float(t)) for p in ps]
             assert min(probs) > -1e-12
             assert sum(probs) == pytest.approx(1.0, abs=1e-10)
+
+    def test_phase_type_reference_matches_low_orders(self):
+        w = HypoExpWTD([1.0, 0.6])
+        for n in range(4):
+            p = jump_probability(w, n)
+            for t in (0.5, 2.0, 6.0):
+                ref = phase_type_jump_probability(w.rates, n, t)
+                assert p(t) == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the closed form cancels to -4.66e-10 where p_6(0.5) = 1.64e-14",
+    )
+    def test_small_probability_of_a_high_count_is_resolved(self):
+        w = HypoExpWTD([1.0, 0.6])
+        ref = phase_type_jump_probability(w.rates, 6, 0.5)
+        assert jump_probability(w, 6)(0.5) == pytest.approx(ref, rel=1e-6)
 
 
 class TestEvenOddDifference:
