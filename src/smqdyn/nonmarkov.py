@@ -18,13 +18,14 @@ Witnesses and measures implemented here:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .poly_laplace import AccuracyError, ExpPolyFunction
+from .poly_laplace import AccuracyError, ExpPolyFunction, evaluate_all
 from .renewal import (
     CP_FLOOR,
     find_extrema,
@@ -276,7 +277,8 @@ def divisibility_scan(
     lam_ts = dyn.lambdas(t_values[:, None] + s_values[None, :])
     T = float(t_values.max())
     singular = near_zero_mask(t_values, _singular_times(dyn, (0.0, T + 1e-9)), T)
-    min_comp = _choi_weights(lam_t, lam_ts).min(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        min_comp = _choi_sums(1.0, lam_ts / lam_t).min(axis=0)
     min_comp[singular, :] = np.nan
     i, j = np.nonzero(min_comp < -CP_FLOOR)  # row-major: t, then s
     cells = zip(t_values[i].tolist(), s_values[j].tolist(), min_comp[i, j].tolist())
@@ -297,53 +299,76 @@ def _choi_sums(q, terms) -> np.ndarray:
     return w
 
 
-def _choi_weights(lam: np.ndarray, lam_later: np.ndarray) -> np.ndarray:
-    """Pauli-conjugation weights A (1, r) / 4 of the intermediate maps with
-    eigenvalue ratios r = lam_later / lam, stacked along the first axis."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _choi_sums(1.0, lam_later / lam)
+def _lag_difference(f: ExpPolyFunction, s: float) -> ExpPolyFunction:
+    """f(t + s) - f(t) with f's poles, which cancels at no s: c t^j e^{pt} gives
+    c expm1(ps) t^j e^{pt}, and c e^{ps} binom(j, l) s^(j - l) t^l e^{pt}, l < j."""
+    return ExpPolyFunction((p, [c * complex(np.expm1(p * s)) + cmath.exp(p * s) * sum(
+        cs[j] * math.comb(j, l) * s ** (j - l) for j in range(l + 1, len(cs)))
+        for l, c in enumerate(cs)]) for p, cs in f.terms)
+
+
+@lru_cache(maxsize=256)
+def _lag_functions(dyn: ChannelDynamics, s: float) -> tuple[ExpPolyFunction, ...]:
+    """Each distinct eigenvalue lam_i (dyn._values), then each D_i."""
+    return (*dyn._values, *(_lag_difference(f, s) for f in dyn._values))
+
+
+def _lag_values(dyn: ChannelDynamics, s: float, t, envelope: bool = False) -> np.ndarray:
+    """lam_i(t) and D_i(t) = lam_i(t + s) - lam_i(t), or their term envelopes,
+    stacked to (2, 3) + shape(t)."""
+    fs = _lag_functions(dyn, s)
+    v = np.array([f.envelope(t) for f in fs]) if envelope else evaluate_all(fs, t)
+    return dyn._per_axis(v)
 
 
 def _negativity(dyn: ChannelDynamics, s: float, t) -> np.ndarray:
-    """Choi negativity of the intermediate map from t to t + s, for an array t.
-
-    It is inf where some lam_i(t) = 0, an isolated point where the ratios
-    diverge (the arctangent stays bounded there).
-    """
-    t = np.asarray(t, dtype=float)
-    lam, later = np.moveaxis(dyn.lambdas(np.stack([t, t + s])), 1, 0)
-    mu = _choi_weights(lam, later)
-    with np.errstate(invalid="ignore"):
+    """Choi negativity of the intermediate maps from t to t + s, t an array, from
+    the weights A (0, D / lam) / 4 + (1, 0, 0, 0), which do not cancel as s -> 0;
+    inf where some lam_i(t) = 0, where they diverge (the arctangent is bounded)."""
+    lam, d = _lag_values(dyn, s, np.asarray(t, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = _choi_sums(0.0, d / lam)
+        mu[0] += 1.0
         neg = -np.minimum(mu, 0.0).sum(axis=0)
     return np.where(np.any(lam == 0.0, axis=0), np.inf, neg)
 
 
 def _exponents(dyn: ChannelDynamics, at) -> np.ndarray:
     """-floor(p_i u / ln 2) per axis at the times u = at, p_i = dyn.decay."""
-    return -np.floor(np.multiply.outer(dyn.decay, at) / math.log(2.0)).astype(int)
+    return -np.floor(np.multiply.outer(dyn.decay, at) / math.log(2.0)).astype(np.intc)
 
 
-def _choi_numerators(dyn: ChannelDynamics, s: float, t, e=None):
-    """Numerators N = Q w of the Choi weights w of the maps from t to t + s,
-    Q, and the terms of N.  Q is the product of the distinct non-constant
-    eigenvalues at t, and r_i enters as lam_i(t + s) times the other factors,
-    so N is smooth through the eigenvalue zeros and sign(w) = sign(N) sign(Q);
-    with a factor per axis, a shared eigenvalue's zeros would stay in N.
-    Multiplying lam_i by 2^e_i, e = _exponents(dyn, u) with u = t by default,
-    keeps N and Q from underflow and their bits up to that factor.
-    """
-    e = _exponents(dyn, t) if e is None else e
-    lam, later = np.moveaxis(np.ldexp(dyn.lambdas(np.stack([t, t + s])), e[:, None]), 1, 0)
+def _choi_numerators(dyn: ChannelDynamics, s: float, t, e=None, bound: bool = True):
+    """Numerators N = Q w of the Choi weights w of the maps from t to t + s, and
+    (if bound) Q and N's rounding bound.  Q is the product of the distinct
+    non-constant eigenvalues at t and F_i that of those other than lam_i, so
+    lam_i F_i = Q and N = Q (1, 0, 0, 0) + A (0, D F) / 4 cancels at no lag; N
+    is smooth through the eigenvalue zeros, and sign(w) = sign(N) sign(Q).  The
+    bound is N of the term envelopes of lam_i and D_i, every sign +, times
+    16 eps (1 + |p| t), p the largest pole (p t rounds too).  lam_i and D_i are
+    scaled by 2^e_i, e = _exponents(dyn, t) by default: N and Q keep their signs
+    and do not underflow."""
     one = np.ones(np.shape(t))  # the products multiply in order, as np.prod would
-    q = math.prod((lam[j] for j in dyn.varying), start=one)
-    terms = [later[i] * math.prod((lam[j] for j in o), start=one)
-             for i, o in enumerate(dyn.factors)]
-    return _choi_sums(q, terms), q, terms
+
+    def products(lam, d):  # Q and the terms D_i F_i
+        q = math.prod((lam[j] for j in dyn.varying), start=one)
+        return q, d * np.array([math.prod((lam[j] for j in o), start=one) for o in dyn.factors])
+
+    e = _exponents(dyn, t) if e is None else e
+    q, terms = products(*np.ldexp(_lag_values(dyn, s, t), e))
+    num = _choi_sums(0.0, terms)
+    num[0] += q
+    if not bound:
+        return num
+    env_q, env_terms = products(*np.ldexp(_lag_values(dyn, s, t, True), e))
+    big = max([abs(p) for f in _lag_functions(dyn, s) for p in f.poles] + [0.0])
+    env = 0.25 * env_terms.sum(axis=0) + np.multiply.outer([1.0, 0.0, 0.0, 0.0], env_q)
+    return num, q, 16.0 * np.finfo(float).eps * (1.0 + big * np.abs(t)) * env
 
 
-def _violated(num: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Total negativity above CP_FLOOR, from N and Q (|Q| w is N signed by Q)."""
-    return np.minimum(np.where(q < 0.0, -num, num), 0.0).sum(axis=0) < -CP_FLOOR * abs(q)
+def _violated(num: np.ndarray, q: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Where some weight w = N/Q is negative beyond N's rounding bound."""
+    return (np.where(q < 0.0, -num, num) < -bound).any(axis=0)
 
 
 @lru_cache(maxsize=256)
@@ -353,54 +378,39 @@ def _violation_intervals(
     """Subintervals where the intermediate map fails complete positivity and
     kinks of the total negativity, cached per (dyn, lag, window) for hou and rhp.
 
-    Split at the eigenvalue zeros, each cell of the pole grid has one sign of Q.
-    A boundary is refined on -sum_K N_k - CP_FLOOR Q, K the weights negative at
-    the cell's violated end: smooth where the negativity has a kink at the edge
-    and a pole at each zero.  The kinks are the decisive sign changes of each
-    N_k (a weight changes sign); one call refines both, the kinks first.
+    A weight changes sign where its numerator N_k does, or at an eigenvalue
+    zero, where N is smooth and two weights are negative on either side.  The
+    kinks are the decisive sign changes of the N_k on the pole grid (split at
+    the eigenvalue zeros), of each distinct row once, refined by one call on
+    their rows; every boundary is a kink, and between two kinks the map is
+    violated throughout or nowhere.  Raises AccuracyError where lam or D is
+    subnormal at the end of a violated interval.
     """
     t0, t1 = window
     grid = pole_grid([g.value for g in dyn.generators], window, 400)
     zeros = _singular_times(dyn, window)
     grid = np.insert(grid, np.searchsorted(grid, zeros), zeros)
-    num, q, terms = _choi_numerators(dyn, s_offset, grid)
-    env = 0.25 * (np.abs(terms).sum(axis=0) + np.abs(q))  # of N's terms
-    inside = _violated(num, q)
-    kink = [sign_brackets(n_k, env) for n_k in num]
-    a, b = (np.concatenate(ends) for ends in zip(*kink))
-    coef = np.repeat(np.eye(4), [len(i) for i, _ in kink], axis=0)
-    i = np.flatnonzero(inside[:-1] != inside[1:])
-    negative = num[:, np.where(inside[i], i, i + 1)] * np.sign(q[i] + q[i + 1]) < 0.0
-    coef = np.vstack([coef, negative.T])
-    floor = np.repeat([0.0, CP_FLOOR], [len(a), len(i)])
-
-    lo, hi = np.concatenate([a, i]), np.concatenate([b, i + 1])
-    e_lo = _exponents(dyn, grid[lo])
-
-    def margin(t, n=None, qt=None):  # N and Q at lo's scale (or given): steps keep their bits
-        if n is None:
-            n, qt, _ = _choi_numerators(dyn, s_offset, t, e_lo)
-        return -((coef.T * n).sum(axis=0) + floor * qt)
-
-    # The grid pass has N and Q at the ends, at hi on hi's scale: times
-    # 2^sum(e_lo - e_hi) they are those at lo's, bit for bit away from the subnormals.
-    shift = (e_lo - _exponents(dyn, grid[hi]))[dyn.varying].sum(axis=0)
-    fb = np.ldexp(margin(None, num[:, hi], q[hi]), shift)
-    redo = ~(np.abs(fb) >= np.finfo(float).tiny / np.finfo(float).eps)
-    fb = np.where(redo, margin(grid[hi]), fb) if redo.any() else fb
-    fa = margin(None, num[:, lo], q[lo])
-    roots = refine_brackets(margin, grid[lo], grid[hi], 1e-12, fa, fb)
-    marks = np.array([t0, *sorted(roots[len(a):].tolist()), t1])
+    num, _, bound = _choi_numerators(dyn, s_offset, grid)
+    # rows with one key are one function: A's sums over each eigenvalue's axes, Q in row 0
+    key = np.column_stack([_choi_sums(0.0, np.eye(3)[dyn.rows]), np.arange(4) == 0])
+    rows = np.sort(np.unique(key, axis=0, return_index=True)[1])
+    signs = np.where(np.abs(num) > bound, num, 0.0)  # a sample within its bound has none
+    kink = [sign_brackets(signs[k], 0.0) for k in rows]
+    lo, hi = (np.concatenate(ends) for ends in zip(*kink))
+    row, at = np.repeat(rows, [len(i) for i, _ in kink]), np.arange(lo.size)
+    e_lo = _exponents(dyn, grid[lo])  # one scale per bracket: its steps see a smooth N
+    roots = refine_brackets(lambda t: _choi_numerators(dyn, s_offset, t, e_lo, False)[row, at],
+                            grid[lo], grid[hi], 1e-12, num[row, lo])
+    marks = np.array([t0, *sorted(set(roots.tolist())), t1])  # a root shared by rows once
     mids = 0.5 * (marks[:-1] + marks[1:])
-    starts, ends = runs(_violated(*_choi_numerators(dyn, s_offset, mids)[:2]))
+    starts, ends = runs(_violated(*_choi_numerators(dyn, s_offset, mids)))
     intervals = tuple(zip(marks[starts].tolist(), marks[ends].tolist()))
-    # The integrands read lam at t and t + s, and a subnormal lam has lost its
-    # precision; an interval's end is where the decay has gone furthest.
-    last = marks[ends]
-    lam = dyn.lambdas(np.stack([last, last + s_offset]))[dyn.varying]
-    if np.any(np.abs(lam) <= np.finfo(float).tiny):
-        raise AccuracyError(f"an eigenvalue underflows in the violation up to t={last[-1]:.6g}")
-    return intervals, tuple(sorted(roots[: len(a)].tolist()))
+    # The integrands divide D by lam: check both where the decay has gone furthest.
+    at_ends = _lag_values(dyn, s_offset, marks[ends])[:, dyn.varying]
+    if np.any(np.abs(at_ends) <= np.finfo(float).tiny):
+        raise AccuracyError(f"an eigenvalue or its lag difference underflows in the "
+                            f"violation up to t={marks[ends][-1]:.6g}")
+    return intervals, tuple(marks[1:-1].tolist())
 
 
 def _pieces(intervals, cuts) -> list[np.ndarray]:
@@ -535,10 +545,10 @@ def hou_measure(
     """Arctangent-weighted divisibility measure, finite by construction.
 
     Integrates arctan of the total negativity of the fixed-lag intermediate
-    map over the region where complete positivity fails, normalized by the
-    length of that region.  The lag defaults to 1e-3 divided by the rate
-    scale; the arctangent stays bounded through the zeros of the eigenvalues,
-    where the unnormalized measure diverges.
+    map over the region where some Choi weight is negative, normalized by the
+    length of that region (weights that cancel at no lag).  The lag defaults
+    to 1e-3 divided by the rate scale; the arctangent stays bounded through
+    the eigenvalue zeros, where the unnormalized measure diverges.
     """
     dyn, s_offset, window = _fixed_lag_setup(ch, w, s_offset, window)
     intervals, kinks = _violation_intervals(dyn, s_offset, window)

@@ -211,6 +211,11 @@ class ChannelDynamics:
         """Array of shape (3,) + shape(t) with lam_x, lam_y, lam_z."""
         return evaluate_all(self._values, t)[self.rows]
 
+    def _per_axis(self, v) -> np.ndarray:
+        """v's groups of one row per distinct eigenvalue (as _values), per axis."""
+        n = len(self._values)
+        return v.reshape(len(v) // n, n, *v.shape[1:])[:, self.rows]
+
     def lambda_dots(self, t):
         return evaluate_all([g.derivative for g in self._distinct], t)[self.rows]
 

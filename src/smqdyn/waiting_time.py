@@ -126,14 +126,9 @@ def _survival(w: HypoExpWTD) -> ExpPolyFunction:
 @lru_cache(maxsize=256)
 def _kernel(w: HypoExpWTD) -> MemoryKernel:
     # khat(u) = u fhat/(1 - fhat) = num_f / ((den_f - num_f)/u), after the
-    # exact cancellation of the factor u.
-    f = w.laplace_pdf()
-    num_f = f.num
-    den_k = w.one_minus_laplace_over_u()
-    if num_f.degree == den_k.degree:
-        delta = (num_f.coeffs[-1] / den_k.coeffs[-1]).real
-        remainder = num_f - delta * den_k
-        if all(abs(c) <= 1e-12 for c in remainder.coeffs):
-            return MemoryKernel(delta, ExpPolyFunction.zero())
-        return MemoryKernel(delta, invert_laplace(RationalLaplace(remainder, den_k)))
-    return MemoryKernel(0.0, invert_laplace(RationalLaplace(num_f, den_k)))
+    # exact cancellation of the factor u.  The degrees match for one stage
+    # only, where khat is the rate itself.
+    if w.n_stages == 1:
+        return MemoryKernel(w.rates[0], ExpPolyFunction.zero())
+    return MemoryKernel(0.0, invert_laplace(RationalLaplace(w.laplace_pdf().num,
+                                                            w.one_minus_laplace_over_u())))

@@ -10,6 +10,7 @@ arguments.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -164,3 +165,45 @@ def to_rational(f):
     return RationalLaplace(
         num, den, den_roots=tuple((p, len(cs)) for p, cs in f.terms)
     )
+
+
+def fixed_lag_choi_weights(mu, rates, t: float, s: float, dps: int = 50) -> list[float]:
+    """Choi weights A (1, r) / 4 of the Pauli map from t to t + s at dps digits.
+
+    mu are the channel's Pauli eigenvalues (1, mu_x, mu_y, mu_z) and rates the
+    stage rates of the waiting time.  lam_mu(t) = alpha e^{t Q_mu} 1 with the
+    stage chain S + mu S0 alpha, alpha = e_1: the last stage's exit, which
+    completes a waiting time, re-enters the first stage weighted by mu.  The
+    ratios are r_i = lam_i(t + s) / lam_i(t), from mpmath expm of the exact
+    double inputs (an eigenvalue mu_i = 1 gives r_i = 1 exactly); A is
+    PAULI_TRANSFORM, with its sums paired so that a weight that vanishes for
+    r_x = r_y and r_z = 1 (a dephasing map) comes out exactly 0.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        r = []
+        for mu_i in mu[1:]:
+            if mu_i == 1.0:  # the chain's generator: lam = 1 exactly
+                r.append(mpmath.mpf(1))
+                continue
+            at_t = _stage_chain_expm(mu_i, tuple(rates), t, dps)[0, :]
+            later = at_t * _stage_chain_expm(mu_i, tuple(rates), s, dps)
+            r.append(sum(later) / sum(at_t))
+        x, y, z = r
+        rows = [(1 + x) + (y + z), (1 + x) - (y + z), (1 - x) + (y - z), (1 - x) - (y - z)]
+        return [float(v / 4) for v in rows]
+
+
+@functools.lru_cache(maxsize=64)
+def _stage_chain_expm(mu_i: float, rates: tuple, x: float, dps: int):
+    """e^{x Q_mu} of fixed_lag_choi_weights' stage chain, at dps digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        m = len(rates)
+        q = mpmath.zeros(m)
+        for i, rate in enumerate(rates):
+            q[i, i] -= mpmath.mpf(rate)
+            q[i, (i + 1) % m] += mpmath.mpf(rate) * (mpmath.mpf(mu_i) if i == m - 1 else 1)
+        return mpmath.expm(q * mpmath.mpf(x))

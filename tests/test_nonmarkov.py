@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from smqdyn.nonmarkov import (
     _GK_WEIGHTS,
     PairSearchConfig,
     _choi_numerators,
-    _choi_weights,
     _exponents,
     _gauss_kronrod,
     _measure_window,
@@ -41,6 +41,7 @@ from smqdyn.nonmarkov import (
 )
 from smqdyn.qubit import (
     PAULI_TRANSFORM,
+    ChannelDynamics,
     PauliChannel,
     QubitState,
     choi_vector,
@@ -50,17 +51,19 @@ from smqdyn.qubit import (
 )
 from smqdyn.poly_laplace import AccuracyError, ExpPolyFunction, evaluate_all
 from smqdyn.renewal import (
+    GeneratingFunction,
     dominance_time,
     even_odd_difference,
     find_extrema,
     find_zeros,
     pole_grid,
     refine_brackets,
+    runs,
     sign_brackets,
 )
 from smqdyn.waiting_time import HypoExpWTD
 
-from oracles import two_stage_parity
+from oracles import fixed_lag_choi_weights, two_stage_parity
 
 ERLANG2 = HypoExpWTD.erlang(2, 1.0)
 EXP1 = HypoExpWTD.exponential(1.0)
@@ -545,8 +548,10 @@ DIAGNOSTIC_SHAPES = {
 
 # blp_measure_numeric, hou_measure and rhp_divisibility_measure as (value,
 # number of contributions).  The hou and rhp entries were recorded with the
-# scalar quad implementation these measures had before they were vectorised;
-# the blp entries are within 1e-16 of the floorless brentq reference below.
+# scalar quad implementation these measures had before they were vectorised,
+# but ep's hou, recorded once its violation onset was the zero of a Choi weight
+# (0.00080920, not the 0.0067839 where a floor of 1e-12 put it); the blp
+# entries are within 1e-16 of the floorless brentq reference below.
 RECORDED_MEASURES = {
     "phaseflip/conv:1,0.3": (
         (0.007914836666630566, 7), (0.003298185996149094, 7), (math.inf, 0)
@@ -555,7 +560,7 @@ RECORDED_MEASURES = {
         (0.0025937810806949055, 5), (0.0030970907989017363, 5), (math.inf, 0)
     ),
     "ep/conv:1,0.14": (
-        (0.0, 0), (1.9193200622864147e-05, 1), (0.004626802088914343, 1)
+        (0.0, 0), (1.9192724938730287e-05, 1), (0.004626802088914343, 1)
     ),
     "pauli:0.3,0.3,0.1,0.3/erlang:2:1": (
         (0.0008903242792746751, 8), (0.0014938931939294053, 9), (math.inf, 0)
@@ -679,11 +684,35 @@ class _ExactZeroDynamics:
     rows = varying = [0, 1, 2]
     factors = [[1, 2], [0, 2], [0, 1]]
     decay = np.zeros(3)
+    generators = tuple(
+        GeneratingFunction(0.0, f, f.differentiate())
+        for f in (ExpPolyFunction([(0.0, [1.0, -1.0])]), ExpPolyFunction([(-1.0, [1.0])]),
+                  ExpPolyFunction([(-0.5, [1.0])]))
+    )
+    _values = tuple(g.value for g in generators)
+    _per_axis = ChannelDynamics._per_axis
 
     @staticmethod
     def lambdas(t):
         t = np.asarray(t, dtype=float)
         return np.array([1.0 - t, np.exp(-t), np.exp(-0.5 * t)])
+
+
+def _reference_weights(dyn, s, t):
+    """The Choi weights of the map from t to t + s at 50 digits: those of
+    fixed_lag_choi_weights, or from the stand-in's closed forms, with -inf
+    where an eigenvalue vanishes at t."""
+    if not isinstance(dyn, _ExactZeroDynamics):
+        return fixed_lag_choi_weights(dyn.channel.mu, dyn.wtd.rates, float(t), s)
+    with mpmath.workdps(50):
+        t, s = mpmath.mpf(float(t)), mpmath.mpf(s)
+        lam = [1 - t, mpmath.exp(-t), mpmath.exp(-t / 2)]
+        if 0 in lam:
+            return [-math.inf] * 4
+        later = [1 - t - s, mpmath.exp(-t - s), mpmath.exp(-(t + s) / 2)]
+        x, y, z = (b / a for a, b in zip(lam, later))
+        rows = [(1 + x) + (y + z), (1 + x) - (y + z), (1 - x) + (y - z), (1 - x) - (y - z)]
+        return [float(v / 4) for v in rows]
 
 
 class TestVectorisedMeasurePaths:
@@ -737,7 +766,9 @@ class TestVectorisedMeasurePaths:
         )
 
     @pytest.mark.parametrize("shape", sorted(DIAGNOSTIC_SHAPES) + ["exact-zero"])
-    def test_array_negativity_matches_choi_vector(self, shape):
+    def test_array_negativity_matches_fifty_digits(self, shape):
+        # The ratio form lam(t + s) / lam(t) of choi_vector was off by up to 2e-10
+        # relative here; the lag differences stay within 1.8e-12 (pauli).
         if shape == "exact-zero":
             dyn, ts, s = _ExactZeroDynamics(), np.linspace(0.0, 2.0, 41), 0.3
             assert 1.0 in ts
@@ -745,11 +776,11 @@ class TestVectorisedMeasurePaths:
             dyn = dynamics(*DIAGNOSTIC_SHAPES[shape])
             ts, s = np.linspace(0.0, _window(dyn)[1], 401), 1e-3
         got = _negativity(dyn, s, ts)
-        ref = np.array([_scalar_negativity(dyn, s, float(t)) for t in ts])
+        ref = np.array([-sum(min(w, 0.0) for w in _reference_weights(dyn, s, t)) for t in ts])
         assert np.array_equal(np.isinf(got), np.isinf(ref))
         assert np.isinf(ref).any() == (shape == "exact-zero")
         finite = ~np.isinf(ref)
-        assert np.allclose(got[finite], ref[finite], rtol=1e-12, atol=1e-15)
+        assert np.allclose(got[finite], ref[finite], rtol=2e-12, atol=1e-15)
 
     def test_gauss_kronrod_rule_is_exact_on_polynomials(self):
         for d in range(23):
@@ -797,26 +828,62 @@ class TestVectorisedMeasurePaths:
 
 
 def _reference_violation_intervals(dyn, s, window):
-    """Reference: _violation_intervals refining the total negativity itself on
-    the cells of the pole grid where it crosses the floor, as it did before
-    the signed negativity and the Choi-weight numerators."""
-    t0, t1 = window
+    """Reference: where the double negativity of _negativity is above 0, its
+    ends bisected 60 times in every cell of the pole grid whose ends differ,
+    as the search once refined the total negativity above a floor."""
     grid = pole_grid([g.value for g in dyn.generators], window, 400)
-    floor = 1e-12
-    inside = _negativity(dyn, s, grid) > floor
+    inside = _negativity(dyn, s, grid) > 0.0
     i = np.flatnonzero(inside[:-1] != inside[1:])
-    cross = refine_brackets(
-        lambda t: _negativity(dyn, s, t) - floor, grid[i], grid[i + 1], 1e-12
-    )
-    marks = [t0] + sorted(float(x) for x in cross) + [t1]
-    mids = 0.5 * (np.array(marks[:-1]) + np.array(marks[1:]))
-    out = []
-    for a, b, bad in zip(marks[:-1], marks[1:], _negativity(dyn, s, mids) > floor):
-        if bad and out and abs(out[-1][1] - a) < 1e-12:
-            out[-1] = (out[-1][0], b)
-        elif bad:
-            out.append((a, b))
-    return out
+    lo, hi = grid[i], grid[i + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = (_negativity(dyn, s, mid) > 0.0) == inside[i]
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    marks = np.array([window[0], *(0.5 * (lo + hi)).tolist(), window[1]])
+    starts, ends = runs(np.concatenate([inside[:1], inside[i + 1]]))
+    return list(zip(marks[starts].tolist(), marks[ends].tolist()))
+
+
+def _reference_violated(dyn, s, t):
+    return min(_reference_weights(dyn, s, t)) < 0.0
+
+
+def _assert_reference_intervals(dyn, s, window, intervals, delta=1e-7):
+    """The violation intervals against the 50-digit weights: the midpoint of
+    every interval is violated (some weight < 0) and that of every gap is not,
+    and each end inside the window is violated on its interval's side only,
+    delta away."""
+    marks = [window[0], *(t for ab in intervals for t in ab), window[1]]
+    for k, (a, b) in enumerate(zip(marks[:-1], marks[1:])):
+        if b > a:
+            assert _reference_violated(dyn, s, 0.5 * (a + b)) == (k % 2 == 1), (a, b)
+    for a, b in intervals:
+        for end, inside in ((a, a + delta), (b, b - delta)):
+            if window[0] < end < window[1]:
+                outside = 2.0 * end - inside
+                assert _reference_violated(dyn, s, inside), end
+                assert not _reference_violated(dyn, s, outside), end
+
+
+def _fifty_digit_numerators(dyn, s, t, e):
+    """Reference: N at the time t and scale 2^e as _choi_numerators forms it,
+    at 50 digits from the double poles and coefficients of each lam_i, with
+    D_i = lam_i(t + s) - lam_i(t) taken at the exact t + s."""
+    with mpmath.workdps(50):
+
+        def value(f, x):
+            return mpmath.re(mpmath.fsum(
+                mpmath.polyval([mpmath.mpc(c) for c in cs[::-1]], x)
+                * mpmath.exp(mpmath.mpc(p) * x) for p, cs in f.terms))
+
+        t = mpmath.mpf(float(t))
+        scale = [mpmath.ldexp(1, int(k)) for k in e]
+        lam = [value(g.value, t) * c for g, c in zip(dyn.generators, scale)]
+        d = [value(g.value, t + s) * c - x for g, c, x in zip(dyn.generators, scale, lam)]
+        q = mpmath.fprod([lam[j] for j in dyn.varying])
+        terms = [d[i] * mpmath.fprod([lam[j] for j in o]) for i, o in enumerate(dyn.factors)]
+        rows = [sum(int(a) * x for a, x in zip(A[1:], terms)) / 4 for A in PAULI_TRANSFORM]
+        return [float(q * (k == 0) + n) for k, n in enumerate(rows)]
 
 
 FIXED_LAG_CASES = {
@@ -836,136 +903,171 @@ def _seeded_channel(seed):
 
 
 def _tensordot_numerators(dyn, s, t, at):
-    """Reference: N and Q as the violation search formed them with np.tensordot,
-    each lam_i divided by 2^floor(p_i at / ln 2)."""
+    """Reference: N = Q (1, 0, 0, 0) + A (0, D F) / 4 with np.tensordot, each
+    lam_i and D_i divided by 2^floor(p_i at / ln 2)."""
     k = np.floor(np.multiply.outer(dyn.decay, at) / math.log(2.0))
-    lam, later = np.ldexp(np.moveaxis(dyn.lambdas(np.stack([t, t + s])), 1, 0),
-                          -k.astype(int))
+    lam, d = np.ldexp(nonmarkov._lag_values(dyn, s, t), -k.astype(int))
     q = np.prod(lam[dyn.varying], axis=0)
     others = [[j for j in dyn.varying if dyn.rows[j] != r] for r in dyn.rows]
-    terms = np.stack([later[i] * np.prod(lam[o], axis=0) for i, o in enumerate(others)])
-    num = np.tensordot(PAULI_TRANSFORM[:, 1:], terms, axes=1) + q
+    terms = np.stack([d[i] * np.prod(lam[o], axis=0) for i, o in enumerate(others)])
+    num = np.tensordot(PAULI_TRANSFORM[:, 1:], terms, axes=1)
     num *= 0.25
-    return num, q
+    num[0] += q
+    return num
 
 
 def _refinement_calls(monkeypatch, dyn, s, window):
-    """Runs the violation search with a spy on its one refine_brackets call,
-    whose brackets are the kinks' and then the boundaries'.  Returns the
-    search's result (None if it raised AccuracyError after the refinement, as
-    where an eigenvalue underflows), the call's f, a, b and bracket-end values
-    (ends), and the times of every call the refinement made to f."""
-    seen, times = {}, []
-    refine = nonmarkov.refine_brackets
+    """Runs the violation search with a spy on its one refine_brackets call, on
+    its sign_brackets calls and on its grid pass of _choi_numerators.  Returns
+    the search's result (None if it raised AccuracyError after the refinement,
+    as where an eigenvalue underflows), the call's f, a, b and lower-end values
+    (ends), the row of N bracketed by each sign_brackets call (rows) and of
+    each bracket (row), and the times of every call the refinement made to f."""
+    seen, times, calls, grid_pass = {}, [], [], []
+    refine, brackets = nonmarkov.refine_brackets, nonmarkov.sign_brackets
+    numerators = nonmarkov._choi_numerators
 
     def spy(f, a, b, xtol, *ends):
         seen.update(f=f, a=np.asarray(a, dtype=float), b=np.asarray(b, dtype=float), ends=ends)
         return refine(lambda t: times.append(t) or f(t), a, b, xtol, *ends)
 
+    def counted(values, envelopes):
+        found = brackets(values, envelopes)
+        calls.append((values, len(found[0])))
+        return found
+
+    def recorded(*args, **kwargs):
+        out = numerators(*args, **kwargs)
+        if not grid_pass:
+            grid_pass.append(out)
+        return out
+
     monkeypatch.setattr(nonmarkov, "refine_brackets", spy)
+    monkeypatch.setattr(nonmarkov, "sign_brackets", counted)
+    monkeypatch.setattr(nonmarkov, "_choi_numerators", recorded)
     nonmarkov._violation_intervals.cache_clear()
     try:
         found = _violation_intervals(dyn, s, window)
     except AccuracyError:
         found = None
+    num, _, bound = grid_pass[0]
+    signs = np.where(np.abs(num) > bound, num, 0.0)
+    # each call's row: the first of N's rows on the grid with its values
+    seen["rows"] = [next(k for k in range(4) if np.array_equal(signs[k], v)) for v, _ in calls]
+    seen["row"] = np.repeat(seen["rows"], [n for _, n in calls]).astype(int)
+    seen["signs"] = signs
     return found, seen, times
-
-
-def _boundary_refinement(monkeypatch, dyn, s, window):
-    """The intervals, the boundary cells (lo, hi) and the boundary refinement
-    function, which maps one time per boundary cell to its value."""
-    (intervals, kinks), seen, _ = _refinement_calls(monkeypatch, dyn, s, window)
-    f, a, b, n = seen["f"], seen["a"], seen["b"], len(kinks)
-    return intervals, a[n:], b[n:], lambda t: f(np.concatenate([a[:n], t]))[n:]
 
 
 class TestFixedLagSearch:
     @pytest.mark.parametrize("window", ["auto", (0.0, 300.0), (0.0, 2000.0)])
     @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES))
-    def test_margin_keeps_the_bits_of_the_numerator_formula(self, case, window, monkeypatch):
-        # The margin, at the brackets' ends and inside them, equals the one formed
-        # from N and Q of the tensordot formula at the scale of each bracket's
-        # lower end; the ends passed from the grid pass are those values.
+    def test_refined_rows_keep_the_bits_of_the_numerator_formula(self, case, window, monkeypatch):
+        # The refined function, at the brackets' ends and inside them, is each
+        # bracket's row of N as the tensordot formula forms it at the scale of
+        # the bracket's lower end; the lower ends' values are the grid pass's.
         ch, w = FIXED_LAG_CASES[case]
         dyn = dynamics(ch, w)
         s = 1e-3 / max(w.rates)
         _, seen, _ = _refinement_calls(monkeypatch, dyn, s,
                                        _window(dyn) if window == "auto" else window)
-        margin, a, b = seen["f"], seen["a"], seen["b"]
+        f, a, b, row = seen["f"], seen["a"], seen["b"], seen["row"]
         assert a.size or w.n_stages == 1  # memoryless: nothing to refine but noise
+        at = np.arange(a.size)
         for t in (a, 0.25 * a + 0.75 * b, b):
-            ref = margin(None, *_tensordot_numerators(dyn, s, t, a))
-            assert margin(t).tobytes() == ref.tobytes()
-        for t, end in zip((a, b), seen["ends"]):
-            assert np.asarray(end).tobytes() == margin(t).tobytes()
+            assert f(t).tobytes() == _tensordot_numerators(dyn, s, t, a)[row, at].tobytes()
+        assert np.asarray(seen["ends"][0]).tobytes() == f(a).tobytes()
 
     @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES))
-    def test_no_margin_call_at_the_grid_ends(self, case, monkeypatch):
-        # The grid pass has N and Q at every bracket's ends: the refinement
-        # evaluates the margin inside the brackets only.
+    def test_equal_rows_are_bracketed_once(self, case, monkeypatch):
+        # Equal Pauli eigenvalues give Choi weights that are one function: N is
+        # bracketed on one row of each, and the others are that row, within
+        # their rounding bounds, at 101 times; the bracketed rows differ.
+        ch, w = FIXED_LAG_CASES[case]
+        dyn = dynamics(ch, w)
+        s, window = 1e-3 / max(w.rates), _window(dyn)
+        _, seen, _ = _refinement_calls(monkeypatch, dyn, s, window)
+        num, _, bound = _choi_numerators(dyn, s, np.linspace(*window, 101))
+        rows = seen["rows"]
+
+        def same(j, k):
+            return np.all(np.abs(num[j] - num[k]) <= bound[j] + bound[k])
+
+        assert all(any(same(j, k) for j in rows) for k in range(4))
+        assert not any(same(j, k) for j in rows for k in rows if j < k)
+        if case == "pauli:0.3,0.3,0.1,0.3/erlang:2:1":  # 33 brackets on all four rows
+            assert (rows, seen["a"].size) == ([0, 1, 2], 25)
+
+    @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES))
+    def test_refinement_evaluates_the_upper_ends_once(self, case, monkeypatch):
+        # The grid pass has N at every bracket's lower end, on that end's scale;
+        # the refinement evaluates the upper ends once, on the same scale, and
+        # then only the insides of the brackets.
         ch, w = FIXED_LAG_CASES[case]
         dyn = dynamics(ch, w)
         _, seen, times = _refinement_calls(monkeypatch, dyn, 1e-3 / max(w.rates), _window(dyn))
         assert bool(times) == (w.n_stages > 1)  # memoryless: nothing to refine
-        for t in times:
+        if times:
+            assert np.array_equal(times[0], seen["b"])
+        for t in times[1:]:
             assert not np.any((t == seen["a"]) | (t == seen["b"]))
 
     @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES))
-    def test_refinement_matches_total_negativity_refinement(self, case, monkeypatch):
+    def test_intervals_match_the_fifty_digit_reference(self, case):
         ch, w = FIXED_LAG_CASES[case]
         dyn = dynamics(ch, w)
         s, window = 1e-3 / max(w.rates), _window(dyn)
-        got, lo, hi, margin = _boundary_refinement(monkeypatch, dyn, s, window)
+        intervals, _ = _violation_intervals(dyn, s, window)
+        _assert_reference_intervals(dyn, s, window, intervals)
+        # the same intervals as the floor-0 search, its ends within 4e-9 here
         ref = _reference_violation_intervals(dyn, s, window)
-        assert len(got) == len(ref)
-        ends = np.array(got).ravel()
-        # Within 1e-9, widened by the rounding band of a Choi weight (1e-15)
-        # over the slope: at the onset of the ep violations near t = 0.007 the
-        # slope is about 1e-9 and any root within 1e-6 is as good as another.
-        # The slope is that of the refined function over |Q|, in the units of
-        # a weight, at the end in its cell; the window ends are not refined.
-        slope = np.full(ends.shape, np.inf)
-        for k, end in enumerate(ends):
-            cells = np.flatnonzero((lo <= end) & (end <= hi))
-            if end in window or not cells.size:
-                continue
-            c = cells[0]
-            t = np.full((2, lo.size), end)
-            t[:, c] += [-1e-7, 1e-7]
-            g = [margin(row)[c] / abs(_choi_numerators(dyn, s, row[c])[1]) for row in t]
-            slope[k] = (g[1] - g[0]) / 2e-7
-        tol = 1e-9 + 1e-15 / np.abs(slope)
-        assert np.all(np.abs(ends - np.array(ref).ravel()) <= tol)
+        assert len(intervals) == len(ref)
+        assert np.allclose(intervals, ref, rtol=0.0, atol=1e-8)
 
     @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES))
-    def test_refinement_has_the_sign_of_the_negativity(self, case, monkeypatch):
-        # On every boundary cell, at 101 interior samples, the refined function
-        # times sign(Q) has the sign of the total negativity - CP_FLOOR.
-        floor = 1e-12
+    def test_numerators_are_within_their_bound_of_fifty_digits(self, case):
+        # At grid times and beside the eigenvalue zeros, where Q and a factor
+        # of each product nearly vanish, and at the window end, where p t has
+        # rounded: the bound holds every row of N (with 30 times to spare on the
+        # test shapes and the 40 seeded channels).
         ch, w = FIXED_LAG_CASES[case]
         dyn = dynamics(ch, w)
         s, window = 1e-3 / max(w.rates), _window(dyn)
-        _, lo, hi, margin = _boundary_refinement(monkeypatch, dyn, s, window)
-        for theta in np.linspace(0.0, 1.0, 103)[1:-1]:
-            t = lo + theta * (hi - lo)
-            q = _choi_numerators(dyn, s, t)[1]
-            total = _negativity(dyn, s, t)
-            assert np.array_equal(np.sign(margin(t) * q), np.sign(total - floor))
+        near = np.array(_singular_times(dyn, window)[:2])[:, None] + [-1e-9, 1e-9]
+        ts = np.sort(np.concatenate([np.linspace(*window, 9), near.ravel()]))
+        num, _, bound = _choi_numerators(dyn, s, ts)
+        e = _exponents(dyn, ts)
+        ref = np.array([_fifty_digit_numerators(dyn, s, t, e[:, k]) for k, t in enumerate(ts)]).T
+        assert np.all(np.abs(num - ref) <= bound)
 
     @pytest.mark.parametrize("case", sorted(FIXED_LAG_CASES) + ["exact-zero"])
-    def test_violated_is_the_negativity_above_the_floor(self, case):
+    def test_violated_is_where_a_weight_is_negative(self, case):
+        # Some weight is negative beyond the rounding bound of its numerator
+        # where the double negativity is positive, on 20001 times and beside
+        # every eigenvalue zero, except where a row of N is within its bound but
+        # not 0 (a weight identically 0, as in a dephasing map, is 0 in both);
+        # where a 50-digit weight is negative on 21 of those times and at every
+        # zero, with the same exception.  An exact eigenvalue zero is violated.
+        near = np.array([])
         if case == "exact-zero":
             dyn, s, ts = _ExactZeroDynamics(), 0.3, np.linspace(0.0, 2.0, 4001)
+            assert 1.0 in ts[::200]
         else:
             ch, w = FIXED_LAG_CASES[case]
             dyn = dynamics(ch, w)
             s, window = 1e-3 / max(w.rates), _window(dyn)
             zeros = _singular_times(dyn, (0.0, window[1] + s))
-            near = np.array(zeros)[:, None] + np.array([-1e-9, 0.0, 1e-9])
-            ts = np.sort(np.concatenate([np.linspace(*window, 20001), near.ravel()]))
-        num, q, _ = _choi_numerators(dyn, s, ts)
+            near = (np.array(zeros)[:, None] + np.array([-1e-9, 0.0, 1e-9])).ravel()
+            ts = np.sort(np.concatenate([np.linspace(*window, 20001), near]))
+        num, q, bound = _choi_numerators(dyn, s, ts)
         assert np.all(np.isfinite(num))
-        assert np.array_equal(_violated(num, q), _negativity(dyn, s, ts) > 1e-12)
+        got = _violated(num, q, bound)
+        within = ((np.abs(num) <= bound) & (num != 0.0)).any(axis=0)
+        double = _negativity(dyn, s, ts) > 0.0
+        assert np.all(got <= double) and np.array_equal(got[~within], double[~within])
+        few = np.union1d(np.arange(0, ts.size, ts.size // 20), np.flatnonzero(np.isin(ts, near)))
+        ref = np.array([_reference_violated(dyn, s, t) for t in ts[few]])
+        assert np.all(got[few] <= ref) and np.all((got[few] == ref) | within[few])
 
     def test_violation_search_evaluation_budget(self, monkeypatch, cold):
         # Refining the total negativity took 110 calls here, and a signed
@@ -996,9 +1098,10 @@ class TestFixedLagSearch:
         s, window = 1e-3 / max(w.rates), _window(dyn)
         intervals, kinks = _violation_intervals(dyn, s, window)
 
-        def weights(t):
+        def weights(t):  # A (1, r) / 4 of the ratios r, and its scale
             lam, later = np.moveaxis(dyn.lambdas(np.stack([t, t + s])), 1, 0)
-            return _choi_weights(lam, later), 1.0 + np.abs(later / lam).sum(axis=0)
+            r = np.vstack([np.ones((1,) + lam.shape[1:]), later / lam])
+            return 0.25 * np.tensordot(PAULI_TRANSFORM, r, axes=1), np.abs(r).sum(axis=0)
 
         mu, scale = weights(np.array(kinks))
         assert np.all(np.abs(mu).min(axis=0) <= 1e-9 * scale)
@@ -1022,8 +1125,8 @@ class TestFixedLagSearch:
         intervals, _ = _violation_intervals(dyn, s, window)
         (a, b), inner = intervals[0], 0.5 * sum(intervals[0])
         refine = nonmarkov.refine_brackets
-        # The boundary brackets come last, after the kinks', so the appended
-        # root is a boundary.
+        # Every root marks a boundary or a kink, so the appended one marks the
+        # end of one violated segment and the start of the next.
         monkeypatch.setattr(
             nonmarkov, "refine_brackets", lambda *args: np.append(refine(*args), inner)
         )
@@ -1063,11 +1166,10 @@ class TestFixedLagSearch:
         assert hou.value == pytest.approx(1.786e-4, rel=1e-3)
         assert [ab for ab, _ in rhp.contributions] == [ab for ab, _ in hou.contributions]
 
-    # Long windows on which the product Q of the raw eigenvalues underflows;
-    # the reference takes the eigenvalue ratios.  The pauli case uses its
-    # auto-window, (0, 1910.8).
+    # Long windows on which the product Q of the raw eigenvalues underflows.
+    # The pauli case uses its auto-window, (0, 1910.8).
     @pytest.mark.parametrize("case", ["ep-1928.6", "pauli-erlang:4:1", "seed-0-550"])
-    def test_long_window_matches_total_negativity_refinement(self, case):
+    def test_long_window_matches_the_fifty_digit_reference(self, case):
         if case == "ep-1928.6":
             ch, w = DIAGNOSTIC_SHAPES["ep/conv:1,0.14"]
             s, window = 1e-3, (0.0, 1928.6)
@@ -1080,9 +1182,59 @@ class TestFixedLagSearch:
         dyn = dynamics(ch, w)
         window = window or _window(dyn)
         got, _ = _violation_intervals(dyn, s, window)
+        _assert_reference_intervals(dyn, s, window, got)
         ref = _reference_violation_intervals(dyn, s, window)
         assert len(got) == len(ref)
-        assert np.allclose(got, ref, rtol=0.0, atol=1e-6)
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-8)
+
+
+class TestFiftyDigitAnswers:
+    """Answers that a floor of 1e-12 on the Choi weights got wrong, checked
+    against the 50-digit weights of the stage chain."""
+
+    @pytest.mark.parametrize("lag", [1e-11, 1e-12])
+    def test_exchange_pair_violates_from_zero_at_tiny_lags(self, lag):
+        # Its fourth weight is -1.2448e-14 at t = 1 for s = 1e-11; both
+        # measures read 0.0 under the floor.
+        ch, w = DIAGNOSTIC_SHAPES["ep/conv:1,0.14"]
+        assert fixed_lag_choi_weights(ch.mu, w.rates, 1.0, lag)[3] < 0.0
+        end = _window(dynamics(ch, w))[1]
+        for measure in (hou_measure, rhp_divisibility_measure):
+            res = measure(ch, w, s_offset=lag)
+            assert res.value > 0.0
+            assert [ab for ab, _ in res.contributions] == [(0.0, end)]
+
+    def test_exchange_pair_onset_is_the_sign_change_of_a_weight(self):
+        # The floor put it at 0.0067839, where that weight is -1.0072e-12.
+        ch, w = DIAGNOSTIC_SHAPES["ep/conv:1,0.14"]
+        ((a, _), _), = hou_measure(ch, w).contributions
+        assert 0.000809 < a < 0.00081
+        before, after = (fixed_lag_choi_weights(ch.mu, w.rates, t, 1e-3)[3]
+                         for t in (0.000809, 0.00081))
+        assert before > 0.0 > after
+
+    @pytest.mark.parametrize("lag", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_phase_flip_violation_length_is_that_of_every_lag(self, lag):
+        # The floor cut it to 9.08 at s = 1e-10 and to 2.62 at 1e-12.
+        ch, w = PHASEFLIP, HypoExpWTD([1.0, 0.3])
+        dyn = dynamics(ch, w)
+        intervals, _ = _violation_intervals(dyn, lag, _window(dyn))
+        assert sum(b - a for a, b in intervals) == pytest.approx(9.280688, abs=1e-6)
+        for a, b in intervals[:2]:  # each end is a sign change of the weights
+            inside = [_reference_violated(dyn, lag, t) for t in (a + 1e-7, b - 1e-7)]
+            outside = [_reference_violated(dyn, lag, t) for t in (a - 1e-7, b + 1e-7)]
+            assert inside == [True, True] and outside == [False, False]
+
+    def test_positive_rates_near_zero_give_no_violation(self):
+        # Every canonical rate of this channel is positive up to 3.83; a bound
+        # on the lag differences' values alone, not their envelopes, reported
+        # a violation on (0, 0.005).
+        ch, w = DIRICHLET_CHANNELS["pauli:0.487,0.2402,0.249,0.0238/erlang:6:1"]
+        dyn = dynamics(ch, w)
+        (a, _), = _violation_intervals(dyn, 1e-3, _window(dyn))[0]
+        assert a == pytest.approx(3.827650, abs=1e-6)
+        assert not _reference_violated(dyn, 1e-3, a - 1e-7)
+        assert _reference_violated(dyn, 1e-3, a + 1e-7)
 
 
 # The long-window inputs of the search: the pauli channel's auto-window is
@@ -1114,13 +1266,29 @@ class TestScaledNumerators:
 
     @pytest.mark.parametrize("case", ["pauli-5000", "seed-0-hou"])
     def test_underflowed_eigenvalue_raises(self, case):
-        # Past the underflow of one eigenvalue the ratio-form integrand loses
-        # its precision; the violation runs on, and the search says so.
+        # Past the underflow of one eigenvalue the integrand, which divides by
+        # it, loses its precision; the violation runs on, and the search says so.
         with pytest.raises(AccuracyError, match="underflows"):
             if case == "pauli-5000":
                 rhp_divisibility_measure(*LONG_PAULI, window=(0.0, 5000.0))
             else:
                 hou_measure(*_seeded_channel(0))
+
+    @pytest.mark.parametrize("end, raises", [(550.0, False), (560.0, True)])
+    def test_underflowed_lag_difference_raises(self, end, raises):
+        # D ~ s lam' falls below the smallest normal number 1/(s |p|) times
+        # earlier than lam: at t = 560 and s = 1e-12, lam_y is 2e-299 and D_y
+        # 7e-311, where the integrand's weights would lose the negativity.
+        dyn, s = dynamics(*_seeded_channel(0)), 1e-12
+        lam, d = nonmarkov._lag_values(dyn, s, np.array([end]))
+        assert np.all(np.abs(lam[dyn.varying]) > np.finfo(float).tiny)
+        assert np.any(np.abs(d[dyn.varying]) <= np.finfo(float).tiny) == raises
+        nonmarkov._violation_intervals.cache_clear()
+        if raises:
+            with pytest.raises(AccuracyError, match="lag difference underflows"):
+                _violation_intervals(dyn, s, (0.0, end))
+        else:
+            assert _violation_intervals(dyn, s, (0.0, end))[0][-1][1] == end
 
     def test_scale_is_an_exact_power_of_two(self):
         dyn = dynamics(*LONG_PAULI)
@@ -1407,14 +1575,15 @@ class TestDominanceTime:
 # hou_measure(phase flip, conv:1,0.3) at tiny lags, as the sum of its
 # contributions: mpmath quad at 50 digits of arctan of the Choi negativity
 # built from the double coefficients of lam_-1, over the same violation
-# intervals split at the same eigenvalue zeros (40 digits agree to all
-# printed places).  Within about s of each zero the integrand has features of
-# width s, which the quadrature must resolve: the tolerance is absolute below
-# |I| = 1, and at s = 1e-10 a rule blind to them returned a third of the sum.
+# intervals (of length 9.280688 at every lag) split at the same eigenvalue
+# zeros (40 digits agree to all printed places).  Within about s of each zero
+# the integrand has features of width s, which the quadrature must resolve:
+# the tolerance is absolute below |I| = 1, and at s = 1e-10 a rule blind to
+# them returned a third of the sum.
 SMALL_LAG_REFERENCES = {
-    1e-8: 7.092299013893654e-07,
-    1e-10: 8.704008672510542e-09,
-    1e-12: 1.0083599330864433e-10,
+    1e-8: 7.092299024092122e-07,
+    1e-10: 8.70410863149133e-09,
+    1e-12: 1.025919319162114e-10,
 }
 
 
