@@ -113,6 +113,7 @@ def _measure_window(
         if not 0.0 <= window[0] < window[1] < math.inf:
             raise ValueError("window must satisfy 0 <= t0 < t1 < inf")
         return (float(window[0]), float(window[1])), 0.0
+    derivs = list(dict.fromkeys(derivs))  # a shared eigenvalue's tail counts once
     slowest = 1.0
     for d in derivs:
         for p in d.poles:
@@ -250,8 +251,9 @@ class DivisibilityScan:
 
 def _singular_times(dyn: ChannelDynamics, window: tuple[float, float]) -> list[float]:
     """Eigenvalue zeros inside the window by find_zeros, once per distinct
-    eigenvalue (a dephasing map shares one generator between lam_x and lam_y)."""
-    fs = [dyn.generators[i].value for i in dyn.varying]
+    eigenvalue (a dephasing map shares one generator between lam_x and lam_y),
+    searched on lam_i e^{-q_i t}, which does not underflow (see _shifted)."""
+    fs = [_shifted(dyn.generators[i].value) for i in dyn.varying]
     return sorted(z for f in fs for z in find_zeros(f, window).tolist())
 
 
@@ -307,15 +309,24 @@ def _lag_difference(f: ExpPolyFunction, s: float) -> ExpPolyFunction:
         for l, c in enumerate(cs)]) for p, cs in f.terms)
 
 
+def _shifted(f: ExpPolyFunction, q: float | None = None) -> ExpPolyFunction:
+    """e^{-qt} f(t): f's poles shifted by -q, by default f's largest real part."""
+    q = max(p.real for p in f.poles) if q is None else q
+    return ExpPolyFunction((p - q, cs) for p, cs in f.terms)
+
+
 @lru_cache(maxsize=256)
 def _lag_functions(dyn: ChannelDynamics, s: float) -> tuple[ExpPolyFunction, ...]:
-    """Each distinct eigenvalue lam_i (dyn._values), then each D_i."""
-    return (*dyn._values, *(_lag_difference(f, s) for f in dyn._values))
+    """Each distinct eigenvalue lam_i (dyn._values), then each D_i, all without
+    lam_i's slowest decay e^{q_i t}: their ratios are kept, and nothing underflows."""
+    q = [max(p.real for p in f.poles) for f in dyn._values]
+    fs = (*dyn._values, *(_lag_difference(f, s) for f in dyn._values))
+    return tuple(map(_shifted, fs, q + q))
 
 
 def _lag_values(dyn: ChannelDynamics, s: float, t, envelope: bool = False) -> np.ndarray:
-    """lam_i(t) and D_i(t) = lam_i(t + s) - lam_i(t), or their term envelopes,
-    stacked to (2, 3) + shape(t)."""
+    """lam_i(t) and D_i(t) = lam_i(t + s) - lam_i(t), both times e^{-q_i t}, or
+    their term envelopes, stacked to (2, 3) + shape(t)."""
     fs = _lag_functions(dyn, s)
     v = np.array([f.envelope(t) for f in fs]) if envelope else evaluate_all(fs, t)
     return dyn._per_axis(v)
@@ -333,12 +344,7 @@ def _negativity(dyn: ChannelDynamics, s: float, t) -> np.ndarray:
     return np.where(np.any(lam == 0.0, axis=0), np.inf, neg)
 
 
-def _exponents(dyn: ChannelDynamics, at) -> np.ndarray:
-    """-floor(p_i u / ln 2) per axis at the times u = at, p_i = dyn.decay."""
-    return -np.floor(np.multiply.outer(dyn.decay, at) / math.log(2.0)).astype(np.intc)
-
-
-def _choi_numerators(dyn: ChannelDynamics, s: float, t, e=None, bound: bool = True):
+def _choi_numerators(dyn: ChannelDynamics, s: float, t, bound: bool = True):
     """Numerators N = Q w of the Choi weights w of the maps from t to t + s, and
     (if bound) Q and N's rounding bound.  Q is the product of the distinct
     non-constant eigenvalues at t and F_i that of those other than lam_i, so
@@ -346,21 +352,20 @@ def _choi_numerators(dyn: ChannelDynamics, s: float, t, e=None, bound: bool = Tr
     is smooth through the eigenvalue zeros, and sign(w) = sign(N) sign(Q).  The
     bound is N of the term envelopes of lam_i and D_i, every sign +, times
     16 eps (1 + |p| t), p the largest pole (p t rounds too).  lam_i and D_i are
-    scaled by 2^e_i, e = _exponents(dyn, t) by default: N and Q keep their signs
-    and do not underflow."""
+    those of _lag_values, without their slowest decay e^{q_i t}: N and Q are
+    those of the raw eigenvalues times e^{-sum q_i t} > 0, and do not underflow."""
     one = np.ones(np.shape(t))  # the products multiply in order, as np.prod would
 
     def products(lam, d):  # Q and the terms D_i F_i
         q = math.prod((lam[j] for j in dyn.varying), start=one)
         return q, d * np.array([math.prod((lam[j] for j in o), start=one) for o in dyn.factors])
 
-    e = _exponents(dyn, t) if e is None else e
-    q, terms = products(*np.ldexp(_lag_values(dyn, s, t), e))
+    q, terms = products(*_lag_values(dyn, s, t))
     num = _choi_sums(0.0, terms)
     num[0] += q
     if not bound:
         return num
-    env_q, env_terms = products(*np.ldexp(_lag_values(dyn, s, t, True), e))
+    env_q, env_terms = products(*_lag_values(dyn, s, t, True))
     big = max([abs(p) for f in _lag_functions(dyn, s) for p in f.poles] + [0.0])
     env = 0.25 * env_terms.sum(axis=0) + np.multiply.outer([1.0, 0.0, 0.0, 0.0], env_q)
     return num, q, 16.0 * np.finfo(float).eps * (1.0 + big * np.abs(t)) * env
@@ -383,8 +388,8 @@ def _violation_intervals(
     kinks are the decisive sign changes of the N_k on the pole grid (split at
     the eigenvalue zeros), of each distinct row once, refined by one call on
     their rows; every boundary is a kink, and between two kinks the map is
-    violated throughout or nowhere.  Raises AccuracyError where lam or D is
-    subnormal at the end of a violated interval.
+    violated throughout or nowhere.  N does not underflow at any t (see
+    _choi_numerators).
     """
     t0, t1 = window
     grid = pole_grid([g.value for g in dyn.generators], window, 400)
@@ -398,18 +403,12 @@ def _violation_intervals(
     kink = [sign_brackets(signs[k], 0.0) for k in rows]
     lo, hi = (np.concatenate(ends) for ends in zip(*kink))
     row, at = np.repeat(rows, [len(i) for i, _ in kink]), np.arange(lo.size)
-    e_lo = _exponents(dyn, grid[lo])  # one scale per bracket: its steps see a smooth N
-    roots = refine_brackets(lambda t: _choi_numerators(dyn, s_offset, t, e_lo, False)[row, at],
+    roots = refine_brackets(lambda t: _choi_numerators(dyn, s_offset, t, False)[row, at],
                             grid[lo], grid[hi], 1e-12, num[row, lo])
     marks = np.array([t0, *sorted(set(roots.tolist())), t1])  # a root shared by rows once
     mids = 0.5 * (marks[:-1] + marks[1:])
     starts, ends = runs(_violated(*_choi_numerators(dyn, s_offset, mids)))
     intervals = tuple(zip(marks[starts].tolist(), marks[ends].tolist()))
-    # The integrands divide D by lam: check both where the decay has gone furthest.
-    at_ends = _lag_values(dyn, s_offset, marks[ends])[:, dyn.varying]
-    if np.any(np.abs(at_ends) <= np.finfo(float).tiny):
-        raise AccuracyError(f"an eigenvalue or its lag difference underflows in the "
-                            f"violation up to t={marks[ends][-1]:.6g}")
     return intervals, tuple(marks[1:-1].tolist())
 
 
@@ -511,7 +510,7 @@ def _gauss_kronrod(f, pieces, scale=math.inf, singular=()):
         owner = np.tile(owner[keep], 2)
     tol = np.maximum(eps, eps * np.abs(total))
     for e, t in zip(error, tol):
-        if not e <= t:  # a NaN error too, as from an underflowed integrand
+        if not e <= t:  # a NaN error too
             raise AccuracyError(f"quadrature error {e:.2g} exceeds the tolerance {t:.2g}")
     return total, error
 

@@ -205,7 +205,6 @@ class ChannelDynamics:
                         if not g.derivative.is_zero()]
         self.factors = [[j for j in self.varying if self.rows[j] != r] for r in self.rows]
         self._values = tuple(g.value for g in self._distinct)
-        self.decay = np.array([max(p.real for p in g.value.poles) for g in self.generators])
 
     def lambdas(self, t):
         """Array of shape (3,) + shape(t) with lam_x, lam_y, lam_z."""
