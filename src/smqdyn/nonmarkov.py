@@ -28,6 +28,7 @@ import numpy as np
 from .poly_laplace import AccuracyError, ExpPolyFunction, evaluate_all
 from .renewal import (
     CP_FLOOR,
+    _shifted,
     find_extrema,
     find_zeros,
     generating_function,
@@ -251,9 +252,9 @@ class DivisibilityScan:
 
 def _singular_times(dyn: ChannelDynamics, window: tuple[float, float]) -> list[float]:
     """Eigenvalue zeros inside the window by find_zeros, once per distinct
-    eigenvalue (a dephasing map shares one generator between lam_x and lam_y),
-    searched on lam_i e^{-q_i t}, which does not underflow (see _shifted)."""
-    fs = [_shifted(dyn.generators[i].value) for i in dyn.varying]
+    eigenvalue (a dephasing map shares one generator between lam_x and lam_y):
+    the zero crossings of find_extrema(lam_i), from the same cached search."""
+    fs = [dyn.generators[i].value for i in dyn.varying]
     return sorted(z for f in fs for z in find_zeros(f, window).tolist())
 
 
@@ -309,16 +310,11 @@ def _lag_difference(f: ExpPolyFunction, s: float) -> ExpPolyFunction:
         for l, c in enumerate(cs)]) for p, cs in f.terms)
 
 
-def _shifted(f: ExpPolyFunction, q: float | None = None) -> ExpPolyFunction:
-    """e^{-qt} f(t): f's poles shifted by -q, by default f's largest real part."""
-    q = max(p.real for p in f.poles) if q is None else q
-    return ExpPolyFunction((p - q, cs) for p, cs in f.terms)
-
-
 @lru_cache(maxsize=256)
 def _lag_functions(dyn: ChannelDynamics, s: float) -> tuple[ExpPolyFunction, ...]:
     """Each distinct eigenvalue lam_i (dyn._values), then each D_i, all without
-    lam_i's slowest decay e^{q_i t}: their ratios are kept, and nothing underflows."""
+    lam_i's slowest decay e^{q_i t} (renewal._shifted, as find_zeros searches
+    lam_i): their ratios are kept, and nothing underflows."""
     q = [max(p.real for p in f.poles) for f in dyn._values]
     fs = (*dyn._values, *(_lag_difference(f, s) for f in dyn._values))
     return tuple(map(_shifted, fs, q + q))

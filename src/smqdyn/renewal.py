@@ -24,7 +24,6 @@ from .poly_laplace import (
     ExpPolyFunction,
     Polynomial,
     RationalLaplace,
-    evaluate_all,
     invert_laplace,
 )
 from .waiting_time import HypoExpWTD
@@ -302,12 +301,6 @@ def sign_brackets(values, envelopes) -> tuple[np.ndarray, np.ndarray]:
     return idx[:-1][flip], idx[1:][flip]
 
 
-def _live(env) -> int:
-    """Samples up to the last with envelope over tiny/2: |f| stays below tiny past it."""
-    alive = np.flatnonzero(env > 0.5 * np.finfo(float).tiny)
-    return int(alive[-1]) + 1 if alive.size else 0
-
-
 def runs(flags) -> tuple[np.ndarray, np.ndarray]:
     """Start and end-exclusive indices of each maximal run of True in flags."""
     edges = np.flatnonzero(np.diff(np.concatenate(([0], np.int8(flags), [0]))))
@@ -367,10 +360,10 @@ def find_extrema(
 ) -> list[ExtremumPoint]:
     """Interior critical points of f in the window, ordered by time.
 
-    Sign changes of f' are bracketed on a grid finer than any pole period, up to
-    the dominance times of f and f', and refined all at once; zeros of f alike.
-    Stationary values below 1e-12 times the window scale of |f| count as
-    zero-touching minima.  Searches are cached per (f, window), f by value.
+    The stationary points are find_zeros(f'), the zero crossings find_zeros(f).
+    A stationary value below 1e-12 times the largest |f| at the window ends and
+    the stationary points, where |f| peaks, counts as a zero-touching minimum.
+    Cached per (f, window), f by value.
     """
     return list(_extrema(f, (float(window[0]), float(window[1]))))
 
@@ -378,28 +371,21 @@ def find_extrema(
 @lru_cache(maxsize=256)
 def _extrema(f: ExpPolyFunction, window: tuple[float, float]) -> tuple:
     t0, T = window
-    grid = pole_grid([f], window, 100)
     df = f.differentiate()
     if df.is_zero():
         return ()
-    head = grid[: max(np.count_nonzero(grid < max(map(dominance_time, (f, df)))) + 1, 2)]
-    env = df.envelope(head)
-    end = _live(env)  # and on to f's, whose values set the zero-touching scale
-    head = head[: max(end + _live(f.envelope(head[end:])), 2)]
-    fv, dv = evaluate_all((f, df), np.concatenate([head, [T]]))
-    scale = float(np.max(np.abs(fv))) or 1.0  # |f| is monotone past the head
-    i, j = sign_brackets(dv[:-1], env[: head.size])
-    stat = refine_brackets(df, head[i], head[j], ROOT_XTOL, dv[i], dv[j])
-    stat = stat[(t0 < stat) & (stat < T)]
+    stat = find_zeros(df, window)
     vals = f(stat)
     curv = df.differentiate()(stat)
-    h = (grid[1] - grid[0]) / 8.0
+    scale = float(np.max(np.abs(np.append(f(np.array(window)), vals)))) or 1.0
     points: list[ExtremumPoint] = []
     for t_star, val, cv in zip(stat, vals, curv):
         if abs(val) < 1e-12 * scale:
             kind = "min"  # zero-touching: keeps measure sums well defined
         else:
             if cv == 0.0:
+                grid = pole_grid([f], window, 100)
+                h = (grid[1] - grid[0]) / 8.0
                 cv = f(min(t_star + h, T)) - 2.0 * val + f(max(t_star - h, t0))
             kind = "max" if val * cv < 0 else "min"
         points.append(ExtremumPoint(float(t_star), float(val), kind))
@@ -409,20 +395,29 @@ def _extrema(f: ExpPolyFunction, window: tuple[float, float]) -> tuple:
     return tuple(points)
 
 
+def _shifted(f: ExpPolyFunction, q: float | None = None) -> ExpPolyFunction:
+    """e^{-qt} f(t): f's poles shifted by -q, by default f's largest real part."""
+    q = max((p.real for p in f.poles), default=0.0) if q is None else q
+    return ExpPolyFunction((p - q, cs) for p, cs in f.terms)
+
+
 def find_zeros(f: ExpPolyFunction, window: tuple[float, float]) -> np.ndarray:
-    """Sign changes of f inside the window, the zero crossings of find_extrema
-    without its extrema, as a read-only array cached per (f, window)."""
-    return _zeros(f, (float(window[0]), float(window[1])))
+    """Sign changes of f inside the window, as a read-only array.
+
+    They are those of _shifted(f) = e^{-qt} f, q the largest real part of f's
+    poles, which has f's signs and does not underflow: its pole grid is
+    bracketed up to the first point past its dominance time, and refined all at
+    once.  Cached per (_shifted(f), window), so f and e^{-qt} f share a search.
+    """
+    return _zeros(_shifted(f), (float(window[0]), float(window[1])))
 
 
 @lru_cache(maxsize=256)
 def _zeros(f: ExpPolyFunction, window: tuple[float, float]) -> np.ndarray:
     grid = pole_grid([f], window, 100)
     head = grid[: max(np.count_nonzero(grid < dominance_time(f)) + 1, 2)]
-    env = f.envelope(head)
-    head = head[: max(_live(env), 2)]
     fv = f(head)
-    i, j = sign_brackets(fv, env[: head.size])
+    i, j = sign_brackets(fv, f.envelope(head))
     z = refine_brackets(f, head[i], head[j], ROOT_XTOL, fv[i], fv[j])
     z = z[(grid[0] < z) & (z < grid[-1])]
     z.setflags(write=False)

@@ -467,13 +467,18 @@ class TestTclCoefficients:
 
     def test_subnormal_sign_changes_are_no_zeros(self):
         # Seed 0's lam_y and lam_z are subnormal from about t = 580 on, where
-        # their samples flipped sign 16 times in t = 579..613.
+        # their raw samples flipped sign 16 times in t = 579..613.  find_zeros
+        # searches them without their slowest decay, which is normal there:
+        # its zeros go on to the window end, each a sign change at 50 digits
+        # (the raw search stopped at 156 and 164).
         dyn = dynamics(*_seeded_channel(0))
         window = _window(dyn)
         zeros = [find_zeros(g.value, window) for g in dyn.generators]
-        assert [len(z) for z in zeros] == [0, 156, 164]
+        assert [len(z) for z in zeros] == [0, 617, 638]
         for g, z in zip(dyn.generators, zeros):
-            assert np.all(np.abs(g.derivative(z)) > np.finfo(float).tiny)
+            slope = renewal._shifted(g.value).differentiate()(z)
+            assert np.all(np.abs(slope) > np.finfo(float).tiny)
+            _assert_fifty_digit_sign_changes([g.value], z.tolist())
 
     def test_equivalence_check_rejects_singular(self):
         co = tcl_coefficients(PHASEFLIP, ERLANG2, 3 * math.pi / 4)
@@ -908,6 +913,16 @@ FIXED_LAG_CASES = {
 }
 
 
+def _assert_fifty_digit_sign_changes(fs, zeros):
+    """Each zero t is a sign change of one of the fs on t -/+ (ROOT_XTOL +
+    ROOT_RTOL t), the root tolerance, at 50 digits."""
+    with mpmath.workdps(50):
+        for t in zeros:
+            h = ROOT_XTOL + ROOT_RTOL * t
+            assert any(_fifty_digit_value(f, mpmath.mpf(t - h))
+                       * _fifty_digit_value(f, mpmath.mpf(t + h)) < 0 for f in fs), t
+
+
 def _seeded_channel(seed):
     """A random Pauli channel on a two-stage or Erlang waiting time."""
     rng = np.random.default_rng(seed)
@@ -1147,12 +1162,11 @@ class TestFixedLagSearch:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_singular_times_are_the_distinct_extrema_zero_crossings(self, seed, cold):
-        # The zeros of each lam_i without its slowest decay: where lam_i stays
-        # normal, as many as find_extrema's zero crossings of lam_i, each within
-        # the root tolerance (the grids differ, and 543 of 1,009 zeros over the
-        # 40 seeds differ in bits, at worst by 0.67 of it).  Seed 0's lam_y and
-        # lam_z are subnormal from about t = 580 on, and its zeros go on past
-        # that, each a sign change of lam_i within the tolerance at 50 digits.
+        # Bit for bit: both read find_zeros(lam_i), which searches lam_i without
+        # its slowest decay.  Seed 0's lam_y and lam_z are subnormal from about
+        # t = 580 on, and its 1,255 zeros go on past that (the raw search of
+        # find_extrema stopped at 320), each a sign change of lam_i within the
+        # root tolerance at 50 digits.
         dyn = dynamics(*_seeded_channel(seed))
         window = (0.0, _window(dyn)[1])
         ref = sorted({
@@ -1163,20 +1177,11 @@ class TestFixedLagSearch:
             if p.kind == "zero-crossing"
         })
         cold()
-        got = np.array(_singular_times(dyn, window))
-        normal = [dyn.generators[i].value.envelope(window[1]) > np.finfo(float).tiny
-                  for i in dyn.varying]
-        tol = ROOT_XTOL + ROOT_RTOL * got
-        if all(normal):
-            assert got.size == len(ref)
-            assert np.all(np.abs(got - ref) <= tol)
-            return
-        assert seed == 0 and (got.size, len(ref)) == (1255, 320)
-        fs = [dyn.generators[i].value for i in dyn.varying]
-        with mpmath.workdps(50):
-            for t, h in zip(got.tolist(), tol.tolist()):
-                assert any(_fifty_digit_value(f, mpmath.mpf(t - h))
-                           * _fifty_digit_value(f, mpmath.mpf(t + h)) < 0 for f in fs), t
+        got = _singular_times(dyn, window)
+        assert np.array_equal(np.array(got), np.array(ref))
+        if seed == 0:
+            assert len(got) == 1255
+            _assert_fifty_digit_sign_changes([dyn.generators[i].value for i in dyn.varying], got)
 
     def test_shared_generator_zeros_listed_once(self):
         zeros = _singular_times(dynamics(PHASEFLIP, ERLANG2), (0.0, 7.0))
@@ -1468,6 +1473,28 @@ class TestSearchCaches:
         assert len(calls) == len(set(calls))
         assert sum(key == "violation" for key, _ in calls) == 1
 
+    @pytest.mark.parametrize("shape", sorted(DIAGNOSTIC_SHAPES))
+    def test_each_function_misses_the_zero_search_once(self, shape, monkeypatch, cold):
+        # BLP's extrema search lam_i' and lam_i, the fixed-lag measures and a
+        # scan the zeros of lam_i: one cached search per e^{-qt} f and window.
+        ch, w = DIAGNOSTIC_SHAPES[shape]
+        dyn = dynamics(ch, w)
+        window = _window(dyn)
+        calls = _searched(monkeypatch)
+        for g in dyn.generators:
+            find_extrema(g.value, window)
+        hou_measure(ch, w)
+        rhp_divisibility_measure(ch, w)
+        divisibility_scan(ch, w, np.array([1.0]), np.array([0.01]))
+        keys = set()
+        for g in (dyn.generators[i] for i in dyn.varying):
+            keys |= {(renewal._shifted(g.value), window),
+                     (renewal._shifted(g.derivative), window),
+                     (renewal._shifted(g.value), (0.0, 1.0 + 1e-9))}
+        info = renewal._zeros.cache_info()
+        assert info.misses == len(keys) and info.hits > 0
+        assert sorted(map(repr, keys)) == sorted(repr(c) for c in calls if c[0] != "violation")
+
     def test_row_by_row_scans_search_the_zeros_once(self, monkeypatch, cold):
         # Phase flip: lam_x = lam_y, and lam_z = 1 has no zeros to search.
         w = HypoExpWTD.erlang(5, 1.0)
@@ -1545,17 +1572,23 @@ class TestDominanceTime:
         assert np.all(v[np.abs(v) > np.finfo(float).tiny] > 0.0)
 
     def test_head_ends_at_the_first_point_past_the_cut(self, monkeypatch, cold):
+        # Each search samples the pole grid of e^{-qt} f (renewal._shifted) up to
+        # its first point at or past T_dom(f), which the shift keeps.
         sampled = _sampled(monkeypatch)
         f = ExpPolyFunction([(-1.0, [1.0]), (-2.0, [-3.0])])
-        T, grid = dominance_time(f), renewal.pole_grid([f], (0.0, 10.0), 100)
+        df = f.differentiate()
+
+        def cut(g, n):  # the cut of g and the sample count n of its search
+            grid = renewal.pole_grid([renewal._shifted(g)], (0.0, 10.0), 100)
+            return grid[n - 2] < dominance_time(g) <= grid[n - 1]
+
         find_zeros(f, (0.0, 10.0))
-        find_zeros(f, (T + 1e-3, 10.0))
-        assert grid[sampled[0] - 2] < T <= grid[sampled[0] - 1]
-        assert sampled[1] == 2
-        cut = max(T, dominance_time(f.differentiate()))
-        assert cut > T
-        find_extrema(f, (0.0, 10.0))  # brackets f' on its head, then f's zeros
-        assert grid[sampled[2] - 2] < cut <= grid[sampled[2] - 1]
+        find_zeros(f, (dominance_time(f) + 1e-3, 10.0))
+        assert cut(f, sampled[0]) and sampled[1] == 2
+        cold()
+        find_extrema(f, (0.0, 10.0))  # find_zeros(f'), then find_zeros(f)
+        assert dominance_time(df) > dominance_time(f)
+        assert cut(df, sampled[2]) and sampled[3] == sampled[0]
 
     def test_zero_touching_scale_reads_the_window_end(self, monkeypatch, cold):
         # (1 - e^(0.5 - t))^2 - 8.5e-13 dips to -8.5e-13 at t = 0.5, a
@@ -1582,8 +1615,8 @@ class TestDominanceTime:
     def test_cut_searches_keep_every_bit(self, shape, monkeypatch):
         dyn, fs = _lambdas_and_slopes(shape)
         windows = [_window(dyn), (0.0, 10.0), (0.0, 300.0), (0.0, 2000.0)]
-        # Where f's dominance time is past the window end, and f's envelope at
-        # the end above tiny, nothing is cut.
+        # The searches a cut may shorten: f's dominance time inside the window,
+        # or f below tiny at its end.
         cut = [(f, win) for f in fs for win in windows
                if dominance_time(f) < win[1] or f.envelope(win[1]) <= np.finfo(float).tiny]
 
@@ -1596,29 +1629,20 @@ class TestDominanceTime:
         got = searches()
         # the uncut searches: every dominance time inf, every grid point sampled
         monkeypatch.setattr(renewal, "dominance_time", lambda f: math.inf)
-        monkeypatch.setattr(renewal, "_live", len)
         assert searches() == got
 
-    def test_searches_stop_where_the_envelope_dies(self, monkeypatch, cold):
+    def test_searches_go_on_where_the_envelope_dies(self):
         # lam_x of the phase flip on conv:1,0.3 has no dominance time, and on
-        # (0, 2000) its envelope is below tiny from t = 1,090.8 on: 11,821 of the
-        # 26,002 grid points hold no sign, for f nor f'.
-        sampled = _sampled(monkeypatch)
+        # (0, 2000) its envelope is below tiny from t = 1,090.8 on, where a raw
+        # sample holds no sign.  Without its slowest decay it keeps its zeros:
+        # 268, 122 of them past that time, each a sign change at 50 digits.
         f = dynamics(*DIAGNOSTIC_SHAPES["phaseflip/conv:1,0.3"]).generators[0].value
         grid = renewal.pole_grid([f], (0.0, 2000.0), 100)
-        live = np.flatnonzero(f.envelope(grid) > np.finfo(float).tiny)[-1] + 1
-        assert dominance_time(f) == math.inf and grid.size - live == 11_821
-        find_extrema(f, (0.0, 2000.0))  # the zeros of f', then those of f
-        assert len(sampled) == 2 and max(sampled) < live + 200
-        # f = e^(-t/2) cos(3t/10), with no dominance time, and f' (|p| = 0.58)
-        # dies first; f's values set the zero-touching scale, so the extrema
-        # search runs on to f's last point.
-        f = ExpPolyFunction([(-0.5 + 0.3j, [0.5]), (-0.5 - 0.3j, [0.5])])
-        grid = renewal.pole_grid([f], (0.0, 2000.0), 100)
-        find_extrema(f, (0.0, 2000.0))
-        tiny = np.finfo(float).tiny
-        assert sampled[2] == np.count_nonzero(f.envelope(grid) > 0.5 * tiny)
-        assert sampled[2] > np.count_nonzero(f.differentiate().envelope(grid) > 0.5 * tiny)
+        dies = grid[np.flatnonzero(f.envelope(grid) > np.finfo(float).tiny)[-1] + 1]
+        assert dominance_time(f) == math.inf and dies == pytest.approx(1090.8, abs=0.1)
+        zeros = find_zeros(f, (0.0, 2000.0))
+        assert zeros.size == 268 and np.count_nonzero(zeros > dies) == 122
+        _assert_fifty_digit_sign_changes([f], zeros.tolist())
 
 
 # hou_measure(phase flip, conv:1,0.3) at tiny lags, as the sum of its
