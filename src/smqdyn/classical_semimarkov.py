@@ -278,7 +278,7 @@ def witness_divisibility(spec: SemiMarkovSpec, times: np.ndarray) -> Divisibilit
     times = np.asarray(times, dtype=float)
     T_max = float(times[-1])
     h = _mixing_function(spec)
-    singular = near_zero_mask(times, find_zeros(h, (0.0, T_max + 1e-9)), T_max)
+    singular = near_zero_mask(times, find_zeros(h, (0.0, (T_max or 1.0) * (1 + 1e-6))), T_max)
     hv = h(times)
     n = len(times)
     rows = np.flatnonzero(~singular)

@@ -107,20 +107,16 @@ def _measure_window(
     """The measure window as floats and the tail bound beyond it.
 
     A given window must satisfy 0 <= t0 < t1 < inf, and its tail bound is 0.
-    Otherwise the window is (0, T), T the horizon beyond which the remaining
-    total variation of the derivs is below 1e-12, and the bound is that rest.
+    Otherwise it is (0, T), T grown by 1.5 from ten slowest decay times until
+    the remaining total variation of the derivs, the tail bound, is below 1e-12.
     """
     if window is not None:
         if not 0.0 <= window[0] < window[1] < math.inf:
             raise ValueError("window must satisfy 0 <= t0 < t1 < inf")
         return (float(window[0]), float(window[1])), 0.0
     derivs = list(dict.fromkeys(derivs))  # a shared eigenvalue's tail counts once
-    slowest = 1.0
-    for d in derivs:
-        for p in d.poles:
-            if p.real < -1e-12:
-                slowest = max(slowest, 1.0 / -p.real)
-    T = 10.0 * slowest
+    T = 10.0 * max((-1.0 / p.real for d in derivs for p in d.poles if p.real < 0.0),
+                   default=1.0)
     for _ in range(60):
         tail = sum(d.tail_envelope_integral(T) for d in derivs)
         if tail < 1e-12:
@@ -279,7 +275,7 @@ def divisibility_scan(
     lam_t = dyn.lambdas(t_values)[:, :, None]  # (3, nt, 1); rejects t < 0
     lam_ts = dyn.lambdas(t_values[:, None] + s_values[None, :])
     T = float(t_values.max())
-    singular = near_zero_mask(t_values, _singular_times(dyn, (0.0, T + 1e-9)), T)
+    singular = near_zero_mask(t_values, _singular_times(dyn, (0.0, (T or 1.0) * (1 + 1e-6))), T)
     with np.errstate(divide="ignore", invalid="ignore"):
         min_comp = _choi_sums(1.0, lam_ts / lam_t).min(axis=0)
     min_comp[singular, :] = np.nan

@@ -49,8 +49,8 @@ class AccuracyError(RuntimeError):
     """Raised when an evaluation keeps an imaginary part above IMAG_PART_CAP."""
 
 
-#: Relative radius within which two roots or poles are one: |a - b| is at
-#: most ROOT_CLUSTER_RADIUS*(1 + |b|).
+#: Relative radius within which two roots are one, |a - b| <= ROOT_CLUSTER_RADIUS*|b|,
+#: and within which a root or pole is real, |Im z| <= ROOT_CLUSTER_RADIUS*|z|.
 ROOT_CLUSTER_RADIUS = 1e-7
 #: Largest imaginary part an evaluation may carry, relative to 1 + |real part|.
 IMAG_PART_CAP = 1e-9
@@ -141,8 +141,8 @@ class Polynomial:
 def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
     """Roots of ``p`` with multiplicities, via companion-matrix eigenvalues.
 
-    Simple roots are polished by Newton iteration; clusters within
-    ``ROOT_CLUSTER_RADIUS*(1+|root|)`` are merged into one multiple root and
+    Simple roots are polished by Newton iteration; clusters within the relative
+    radius ``ROOT_CLUSTER_RADIUS*|root|`` are merged into one multiple root and
     polished with the multiplicity-corrected Newton step.
     """
     if p.degree < 1:
@@ -163,7 +163,7 @@ def _cluster(points: list[complex]) -> list[tuple[complex, int]]:
     for z in points:
         for g in groups:
             c = sum(g) / len(g)
-            if abs(z - c) <= ROOT_CLUSTER_RADIUS * (1.0 + abs(c)):
+            if abs(z - c) <= ROOT_CLUSTER_RADIUS * abs(c):
                 g.append(z)
                 break
         else:
@@ -198,7 +198,7 @@ def _polish(p: Polynomial, dp: Polynomial, x: complex, mult: int) -> complex:
 
 
 def _realify(z: complex) -> complex:
-    if abs(z.imag) <= ROOT_CLUSTER_RADIUS * (1.0 + abs(z)):
+    if abs(z.imag) <= ROOT_CLUSTER_RADIUS * abs(z):
         return complex(z.real, 0.0)
     return z
 
@@ -235,7 +235,8 @@ class RationalLaplace:
 class ExpPolyFunction:
     """Finite sum of terms c_k t^k exp(p t) with complex poles/coefficients.
 
-    The canonical form (poles merged, sorted, zero terms dropped) makes
+    The canonical form (poles real within ROOT_CLUSTER_RADIUS*|p|, only equal
+    poles merged, sorted, zero terms dropped) has no time scale and makes
     coefficient-level comparison meaningful.  Real inputs keep the pole set
     closed under conjugation, so evaluation at real t is real up to rounding.
     """
@@ -321,21 +322,16 @@ class ExpPolyFunction:
 def _canonical(
     terms: Iterable[tuple[complex, Sequence[complex]]],
 ) -> tuple[tuple[complex, tuple[complex, ...]], ...]:
-    merged: list[tuple[complex, list[complex]]] = []
+    merged: dict[complex, list[complex]] = {}
     for pole, coeffs in terms:
-        pole = complex(pole)
         cs = [complex(c) for c in coeffs]
-        for i, (p, existing) in enumerate(merged):
-            if abs(pole - p) <= ROOT_CLUSTER_RADIUS * (1.0 + abs(p)):
-                n = max(len(existing), len(cs))
-                existing.extend([0.0] * (n - len(existing)))
-                for k, c in enumerate(cs):
-                    existing[k] += c
-                break
-        else:
-            merged.append((pole, cs))
+        existing = merged.setdefault(_realify(complex(pole)), cs)
+        if existing is not cs:
+            existing.extend([0.0] * (len(cs) - len(existing)))
+            for k, c in enumerate(cs):
+                existing[k] += c
     out = []
-    for pole, cs in merged:
+    for pole, cs in merged.items():
         # Trailing trim must be exact: coefficients of one term legitimately
         # span many orders of magnitude (1/k! factors), and a high power of t
         # with a tiny coefficient still dominates at large times.
@@ -343,7 +339,7 @@ def _canonical(
             cs.pop()
         if not cs or max(abs(c) for c in cs) == 0.0:
             continue
-        out.append((_realify(pole), tuple(cs)))
+        out.append((pole, tuple(cs)))
     out.sort(key=lambda pc: (pc[0].real, pc[0].imag))
     return tuple(out)
 

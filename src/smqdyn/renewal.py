@@ -102,9 +102,9 @@ class GeneratingFunction:
 def generating_function(w: HypoExpWTD, mu: float) -> GeneratingFunction:
     """Rational-inversion backend for lam_mu.
 
-    mu = 1 short-circuits to the constant 1 (the transform degenerates to
-    1/u); mu = 0 reuses the exactly known stage poles of the survival
-    probability; equal stage rates take the closed form of _erlang_terms.
+    mu = 1 short-circuits to the constant 1 (the transform degenerates to 1/u);
+    mu = 0 reuses the exact stage poles of the survival probability; equal stage
+    rates take the closed form of _erlang_terms, m distinct poles, if it rounds well.
     """
     mu = float(mu)
     if not -1.0 <= mu <= 1.0:
@@ -114,11 +114,10 @@ def generating_function(w: HypoExpWTD, mu: float) -> GeneratingFunction:
         return GeneratingFunction(mu, value, ExpPolyFunction.zero())
     if mu != 0.0 and len(set(w.rates)) == 1:
         poles, residues = _erlang_terms(w.rates[0], w.n_stages, mu)
-        value = ExpPolyFunction(zip(poles, residues[:, None]))
-        # Near mu = 0 the residues cancel (rounding bound eps sum|residue|),
-        # and poles may merge within the cluster radius: invert those instead.
-        rounding = np.finfo(float).eps * np.abs(residues).sum()
-        if rounding <= 1e-11 and len(value.terms) == w.n_stages:
+        # Near mu = 0 the residues cancel (rounding bound eps sum|residue|):
+        # invert those instead.
+        if np.finfo(float).eps * np.abs(residues).sum() <= 1e-11:
+            value = ExpPolyFunction(zip(poles, residues[:, None]))
             return GeneratingFunction(mu, value, value.differentiate())
     f = w.laplace_pdf()
     num = w.one_minus_laplace_over_u()
@@ -258,9 +257,9 @@ def pole_grid(
         raise ValueError("window must have positive length")
     steps = [(t1 - t0) / n_min]
     for p in [p for f in fs for p in f.poles]:
-        if abs(p.imag) > 1e-12:
+        if p.imag:
             steps.append(np.pi / abs(p.imag) / 20.0)
-        if abs(p.real) > 1e-12:
+        if p.real:
             steps.append(1.0 / abs(p.real) / 20.0)
     n = max(int(np.ceil((t1 - t0) / min(steps))), n_min)
     return np.linspace(t0, t1, n + 1)

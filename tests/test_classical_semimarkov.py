@@ -321,7 +321,7 @@ def _reference_divisibility(spec, times, tol=CP_FLOOR):
     T_max = float(times[-1])
     zeros = [
         p.t
-        for p in find_extrema(h, (0.0, T_max + 1e-9))
+        for p in find_extrema(h, (0.0, T_max * (1 + 1e-6)))
         if p.kind == "zero-crossing"
     ]
     eps = 1e-6 * T_max

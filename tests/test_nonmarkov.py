@@ -300,7 +300,7 @@ def _reference_scan_cells(ch, w, t_values, s_values):
     """divisibility_scan's singular mask and negative cells by loops."""
     dyn = dynamics(ch, w)
     T = float(t_values.max())
-    zeros = _singular_times(dyn, (0.0, T + 1e-9))
+    zeros = _singular_times(dyn, (0.0, T * (1 + 1e-6)))
     singular = np.array(
         [any(abs(t - z) <= 1e-6 * T for z in zeros) for t in t_values], dtype=bool
     )
@@ -1490,7 +1490,7 @@ class TestSearchCaches:
         for g in (dyn.generators[i] for i in dyn.varying):
             keys |= {(renewal._shifted(g.value), window),
                      (renewal._shifted(g.derivative), window),
-                     (renewal._shifted(g.value), (0.0, 1.0 + 1e-9))}
+                     (renewal._shifted(g.value), (0.0, 1.0 + 1e-6))}
         info = renewal._zeros.cache_info()
         assert info.misses == len(keys) and info.hits > 0
         assert sorted(map(repr, keys)) == sorted(repr(c) for c in calls if c[0] != "violation")

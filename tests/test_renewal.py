@@ -5,12 +5,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import poisson
 
-from smqdyn.poly_laplace import (
-    AccuracyError,
-    Polynomial,
-    RationalLaplace,
-    invert_laplace,
-)
+from smqdyn.poly_laplace import AccuracyError
 from smqdyn.renewal import (
     SeriesTruncationError,
     _poisson_weights,
@@ -207,15 +202,18 @@ class TestGeneratingFunction:
                 continue
             assert np.max(np.abs(values - ref)) <= 1e-11, lam
 
-    def test_erlang_poles_inside_the_cluster_radius_are_inverted(self):
-        # At rate 1e-6 and mu = 1e-3 the two closed-form poles are 6.3e-8
-        # apart and would merge into one simple pole, dropping the t e^{pt}
-        # term; the general inversion keeps one double pole instead.
-        w = HypoExpWTD.erlang(2, 1e-6)
-        f = w.laplace_pdf()
-        den = f.den - Polynomial([1e-3 * f.num.coeffs[0]])
-        general = invert_laplace(RationalLaplace(w.one_minus_laplace_over_u(), den))
-        assert generating_function(w, 1e-3).value == general
+    @pytest.mark.parametrize("rate", [1e-6, 1.0, 1e3])
+    @pytest.mark.parametrize("mu", [1e-3, -1e-3])
+    def test_close_erlang_poles_are_kept_at_any_rate(self, rate, mu):
+        # At rate 1e-6 the two closed-form poles are 6.3e-8 apart, inside any
+        # radius of one time unit; only equal poles merge, so both stay and the
+        # value is the phase-type one whatever the time unit.
+        w = HypoExpWTD.erlang(2, rate)
+        value = generating_function(w, mu).value
+        assert len(value.terms) == 2
+        ts = np.linspace(0.0, 30.0, 61) / rate
+        ref = erlang_phase_type_generating_function(2, rate, mu, ts)
+        assert np.max(np.abs(value(ts) - ref)) <= 1e-12
 
 
 def series_reference(w: HypoExpWTD, mu: float, t: float, tol: float = 1e-10) -> float:

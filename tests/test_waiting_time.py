@@ -20,18 +20,21 @@ class TestConstruction:
     def test_erlang_factory(self):
         assert HypoExpWTD.erlang(3, 2.0).rates == (2.0, 2.0, 2.0)
 
-    def test_stage_poles_merge_inside_the_cluster_radius(self):
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e3])
+    def test_stage_poles_merge_inside_the_relative_cluster_radius(self, c):
         def poles(rates):
-            return HypoExpWTD(rates).laplace_pdf().den_roots
+            return HypoExpWTD([c * r for r in rates]).laplace_pdf().den_roots
 
-        assert poles([2.5] * 4) == ((-2.5 + 0j, 4),)
+        assert poles([2.5] * 4) == ((-2.5 * c + 0j, 4),)
         r = 1.3
-        near = r + 0.9 * ROOT_CLUSTER_RADIUS * (1.0 + r)
-        assert poles([near, r]) == ((complex(-(r + near) / 2, 0.0), 2),)
+        near = r + 0.9 * ROOT_CLUSTER_RADIUS * r
+        (pole, mult), = poles([near, r])
+        assert mult == 2 and pole == complex(-(c * r + c * near) / 2, 0.0)
         apart = r * (1.0 + 1e-6)
-        assert poles([apart, r]) == ((complex(-r, 0.0), 1), (complex(-apart, 0.0), 1))
+        assert poles([apart, r]) == ((complex(-c * r, 0.0), 1), (complex(-c * apart, 0.0), 1))
         # ascending in the rate, whatever the stage order
-        assert poles([3.0, 0.5, 2.0, 0.5]) == ((-0.5 + 0j, 2), (-2.0 + 0j, 1), (-3.0 + 0j, 1))
+        assert poles([3.0, 0.5, 2.0, 0.5]) == (
+            (-0.5 * c + 0j, 2), (-2.0 * c + 0j, 1), (-3.0 * c + 0j, 1))
 
     def test_transform_strictly_proper_and_normalized(self):
         for rates in [(1.0,), (1.0, 2.0), (0.5,) * 4, (1.0, 0.13)]:
